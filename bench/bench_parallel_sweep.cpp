@@ -1,11 +1,13 @@
 // EXEC — the parallel execution runtime on the paper's heaviest
 // workload: the Fig. 2 ratio family swept with the SPICE engine
 // (4 ratios x 17 temperatures = 68 independent transistor-level
-// transient simulations). Measures serial vs parallel wall clock,
-// verifies the parallel periods are BITWISE identical to the serial
-// ones (the determinism contract that keeps the paper figures
-// unchanged), exercises the content-addressed sweep cache, and writes
-// the numbers to a JSON snapshot (BENCH_exec.json).
+// transient simulations). Measures serial vs parallel wall clock for
+// the default kernel (one point per pool task) and for the fast preset
+// (lock-step groups of points per pool task), verifies the parallel
+// periods are BITWISE identical to the serial ones (the determinism
+// contract that keeps the paper figures unchanged), exercises the
+// content-addressed sweep cache, and writes the numbers to a JSON
+// snapshot (BENCH_exec.json).
 #include "bench_common.hpp"
 
 #include "exec/exec.hpp"
@@ -71,67 +73,90 @@ int main(int argc, char** argv) {
         configs.push_back(ring::RingConfig::uniform(cells::CellKind::Inv, 5, r));
     }
 
-    // --- serial reference -------------------------------------------------
-    std::vector<ring::SweepResult> serial(configs.size());
-    const auto t_serial = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        serial[i] = ring::temperature_sweep(tech, configs[i], grid,
-                                            ring::Engine::Spice, opt,
-                                            ring::SweepRuntime::serial());
-    }
-    const double serial_s = seconds_since(t_serial);
+    // Sweeps every ratio with options `o` on runtime `rt`; stores the
+    // wall time of the whole family in `wall_s`.
+    const auto sweep_all = [&](const ring::SpiceRingOptions& o,
+                               const ring::SweepRuntime& rt, double& wall_s) {
+        std::vector<ring::SweepResult> out(configs.size());
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            out[i] = ring::temperature_sweep(tech, configs[i], grid,
+                                             ring::Engine::Spice, o, rt);
+        }
+        wall_s = seconds_since(t0);
+        return out;
+    };
+    const auto same_series = [](const std::vector<ring::SweepResult>& a,
+                                const std::vector<ring::SweepResult>& b) {
+        bool same = a.size() == b.size();
+        for (std::size_t i = 0; same && i < a.size(); ++i) {
+            same = bitwise_equal(a[i].period_s, b[i].period_s) &&
+                   bitwise_equal(a[i].frequency_hz, b[i].frequency_hz);
+        }
+        return same;
+    };
 
-    // --- parallel: every SPICE point fanned out to the pool ---------------
+    // --- default kernel: serial reference vs every point on the pool -------
+    double serial_s = 0.0;
+    const auto serial = sweep_all(opt, ring::SweepRuntime::serial(), serial_s);
     exec::ThreadPool pool(threads);
     ring::SweepRuntime parallel_rt;
     parallel_rt.pool = &pool;
     parallel_rt.use_cache = false;
-    std::vector<ring::SweepResult> parallel(configs.size());
-    const auto t_parallel = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        parallel[i] = ring::temperature_sweep(tech, configs[i], grid,
-                                              ring::Engine::Spice, opt, parallel_rt);
-    }
-    const double parallel_s = seconds_since(t_parallel);
+    double parallel_s = 0.0;
+    const auto parallel = sweep_all(opt, parallel_rt, parallel_s);
     const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
+    const bool identical = same_series(serial, parallel);
 
-    bool identical = true;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        identical = identical &&
-                    bitwise_equal(serial[i].period_s, parallel[i].period_s) &&
-                    bitwise_equal(serial[i].frequency_hz, parallel[i].frequency_hz);
-    }
+    // --- lock-step: the fast preset, serial vs pool ------------------------
+    // Same coarse transient, fast kernel: points advance in lock-step
+    // groups of at most lockstep_width over one shared batched
+    // evaluator, and a pooled sweep makes at least one group per worker.
+    ring::SpiceRingOptions fast_opt = ring::SpiceRingOptions::fast();
+    fast_opt.skip_cycles = opt.skip_cycles;
+    fast_opt.measure_cycles = opt.measure_cycles;
+    fast_opt.steps_per_period = opt.steps_per_period;
+    const int width = fast_opt.kernel.lockstep_width;
+    double fast_serial_s = 0.0;
+    double fast_parallel_s = 0.0;
+    const auto fast_serial =
+        sweep_all(fast_opt, ring::SweepRuntime::serial(), fast_serial_s);
+    const auto fast_parallel = sweep_all(fast_opt, parallel_rt, fast_parallel_s);
+    const double fast_speedup =
+        fast_parallel_s > 0.0 ? fast_serial_s / fast_parallel_s : 0.0;
+    const bool fast_identical = same_series(fast_serial, fast_parallel);
+    const std::size_t groups_serial =
+        ring::lockstep_groups(grid.size(), static_cast<std::size_t>(width), 1).size() - 1;
+    const std::size_t groups_pool =
+        ring::lockstep_groups(grid.size(), static_cast<std::size_t>(width),
+                              static_cast<std::size_t>(pool.size()))
+            .size() - 1;
 
     // --- cache: cold pass populates, warm pass must be pure hits ----------
     exec::ResultCache cache;
     ring::SweepRuntime cached_rt;
     cached_rt.pool = &pool;
     cached_rt.cache = &cache;
-    const auto t_cold = std::chrono::steady_clock::now();
-    for (const auto& cfg : configs) {
-        (void)ring::temperature_sweep(tech, cfg, grid, ring::Engine::Spice, opt,
-                                      cached_rt);
-    }
-    const double cold_s = seconds_since(t_cold);
-    const auto t_warm = std::chrono::steady_clock::now();
-    std::vector<ring::SweepResult> warm(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        warm[i] = ring::temperature_sweep(tech, configs[i], grid,
-                                          ring::Engine::Spice, opt, cached_rt);
-    }
-    const double warm_s = seconds_since(t_warm);
+    double cold_s = 0.0;
+    double warm_s = 0.0;
+    (void)sweep_all(opt, cached_rt, cold_s);
+    const auto warm = sweep_all(opt, cached_rt, warm_s);
     const auto cache_stats = cache.stats();
-    bool warm_identical = true;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        warm_identical =
-            warm_identical && bitwise_equal(serial[i].period_s, warm[i].period_s);
-    }
+    const bool warm_identical = same_series(serial, warm);
 
     const unsigned hw = std::thread::hardware_concurrency();
     util::Table table({"path", "wall (s)", "vs serial"});
     table.add_row({"serial", util::fixed(serial_s, 3), "1.00x"});
     table.add_row({"pool x" + std::to_string(threads), util::fixed(parallel_s, 3),
                    util::fixed(speedup, 2) + "x"});
+    table.add_row({"fast serial (lock-step)", util::fixed(fast_serial_s, 3),
+                   util::fixed(fast_serial_s > 0.0 ? serial_s / fast_serial_s : 0.0, 2) +
+                       "x"});
+    table.add_row({"fast pool x" + std::to_string(threads) + " (lock-step)",
+                   util::fixed(fast_parallel_s, 3),
+                   util::fixed(fast_parallel_s > 0.0 ? serial_s / fast_parallel_s : 0.0,
+                               2) +
+                       "x"});
     table.add_row({"cache cold", util::fixed(cold_s, 3),
                    util::fixed(cold_s > 0.0 ? serial_s / cold_s : 0.0, 2) + "x"});
     table.add_row({"cache warm", util::fixed(warm_s, 3),
@@ -143,6 +168,9 @@ int main(int argc, char** argv) {
               << ", pool size (effective): " << pool.size()
               << ", tasks executed: " << pool.tasks_executed()
               << ", stolen: " << pool.tasks_stolen() << "\n";
+    std::cout << "lock-step (fast preset, width " << width << "): " << groups_serial
+              << " groups per sweep serial, " << groups_pool << " on the pool; pool "
+              << util::fixed(fast_speedup, 2) << "x vs fast serial\n";
     std::cout << "cache: " << cache_stats.hits << " hits / " << cache_stats.misses
               << " misses (hit rate " << util::fixed(100.0 * cache_stats.hit_rate(), 1)
               << " %), " << cache_stats.bytes << " bytes resident\n";
@@ -173,6 +201,14 @@ int main(int argc, char** argv) {
              << "  \"parallel_s\": " << parallel_s << ",\n"
              << "  \"speedup\": " << speedup << ",\n"
              << "  \"bitwise_identical\": " << (identical ? "true" : "false") << ",\n"
+             << "  \"lockstep_width\": " << width << ",\n"
+             << "  \"lockstep_groups_serial\": " << groups_serial << ",\n"
+             << "  \"lockstep_groups_pool\": " << groups_pool << ",\n"
+             << "  \"lockstep_serial_s\": " << fast_serial_s << ",\n"
+             << "  \"lockstep_parallel_s\": " << fast_parallel_s << ",\n"
+             << "  \"lockstep_speedup\": " << fast_speedup << ",\n"
+             << "  \"lockstep_bitwise_identical\": "
+             << (fast_identical ? "true" : "false") << ",\n"
              << "  \"cache_cold_s\": " << cold_s << ",\n"
              << "  \"cache_warm_s\": " << warm_s << ",\n"
              << "  \"cache_hits\": " << cache_stats.hits << ",\n"
@@ -186,6 +222,8 @@ int main(int argc, char** argv) {
     bench::ShapeChecks checks;
     checks.expect("parallel periods bitwise identical to serial (determinism contract)",
                   identical);
+    checks.expect("lock-step pool periods bitwise identical to lock-step serial",
+                  fast_identical);
     checks.expect("warm cached sweeps bitwise identical to serial", warm_identical);
     checks.expect("warm pass is pure cache hits (one per sweep)",
                   cache_stats.hits == configs.size() &&

@@ -15,6 +15,13 @@ cmake -B "$repo/build" -S "$repo"
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
+echo "== tier 1: flake gate — pool, cancel and lock-step suites, 20 repeats =="
+# These suites race workers against cancels, waiters and counters. A
+# race that fails one run in N would slip through the single pass
+# above, so rerun them in parallel until one fails, 20 times over.
+ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
+    -R 'ThreadPool|Cancel|LockStep' --repeat until-fail:20
+
 echo "== tier 1: SIMD parity — batched kernel under both lane dispatches =="
 # The batched SoA evaluator ships a scalar and an AVX2 lane kernel that
 # must be bitwise identical; the ablation bench proves it on the Fig. 2

@@ -84,10 +84,11 @@ public:
     /// time). Applies to both presets — a no-op unless batch_eval is on.
     RuntimeOptions& simd(util::SimdMode mode);
 
-    /// Lock-step width override: how many sweep points advance through
-    /// one shared batched evaluator. 0 (default) keeps the selected
-    /// preset's width (1 plain / 8 fast); 1 forces solo; >= 2 opts a
-    /// default-kernel run into lock-step.
+    /// Lock-step width override: at most this many sweep points per
+    /// group advance through one shared batched evaluator; a parallel
+    /// sweep uses at least as many groups as pool workers. 0 (default)
+    /// keeps the selected preset's width (1 plain / 8 fast); 1 forces
+    /// solo; >= 2 opts a default-kernel run into lock-step.
     RuntimeOptions& lockstep(int width);
 
     /// Batched-SoA-evaluation override on top of the selected preset

@@ -203,6 +203,11 @@ void ThreadPool::execute(Task& task) {
             error = std::current_exception();
         }
     }
+    // Settle the pool counters before releasing the group: once wait()
+    // returns, inflight() no longer counts the group's tasks and
+    // tasks_executed() does.
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    executed_.fetch_add(1, std::memory_order_relaxed);
     if (task.group) {
         std::lock_guard lock(task.group->m);
         if (error && task.ticket < task.group->error_ticket) {
@@ -216,7 +221,6 @@ void ThreadPool::execute(Task& task) {
         }
         if (--task.group->pending == 0) task.group->cv.notify_all();
     }
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool ThreadPool::help_one() {
@@ -224,7 +228,6 @@ bool ThreadPool::help_one() {
     const std::size_t self = (tl_pool == this) ? tl_worker : kNoWorker;
     if (!try_pop(self, task)) return false;
     execute(task);
-    executed_.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 
@@ -240,7 +243,6 @@ void ThreadPool::worker_loop(std::size_t self) {
         Task task;
         if (try_pop(self, task)) {
             execute(task);
-            executed_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         std::unique_lock lock(sleep_m_);

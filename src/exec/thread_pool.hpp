@@ -139,6 +139,8 @@ public:
     static int parse_thread_env(const char* value, int fallback);
 
     /// Total tasks executed (all queues, lifetime). For tests/metrics.
+    /// Both this and inflight() are settled for a task before its
+    /// TaskGroup is released, so they are exact once wait() returns.
     std::uint64_t tasks_executed() const;
     /// Tasks a worker stole from another worker's deque.
     std::uint64_t tasks_stolen() const;

@@ -141,12 +141,19 @@ PointStatus status_of_rung(spice::RecoveryRung rung) {
     return PointStatus::Ok;
 }
 
+/// The pool a sweep fans out on, or nullptr for a serial sweep (which
+/// must not touch ThreadPool::global()).
+exec::ThreadPool* sweep_pool(const SweepRuntime& runtime) {
+    if (!runtime.parallel) return nullptr;
+    return runtime.pool != nullptr ? runtime.pool : &exec::ThreadPool::global();
+}
+
 /// Computes period_s[i]/frequency_hz[i]/status[i] for every grid point,
 /// serially or chunked onto the pool. Either way each index is computed
 /// by the same pure function and written to its own slot, so the output
 /// is bitwise identical regardless of thread count.
 template <typename PointFn>
-void compute_points(SweepResult& out, const SweepRuntime& runtime,
+void compute_points(SweepResult& out, exec::ThreadPool* pool,
                     std::size_t grain, const PointFn& point) {
     const std::size_t n = out.temps_c.size();
     out.period_s.resize(n);
@@ -168,10 +175,8 @@ void compute_points(SweepResult& out, const SweepRuntime& runtime,
             out.status[i] = e.status;
         }
     };
-    if (runtime.parallel) {
-        auto& pool = runtime.pool != nullptr ? *runtime.pool
-                                             : exec::ThreadPool::global();
-        pool.parallel_for(n, grain, body);
+    if (pool != nullptr) {
+        pool->parallel_for(n, grain, body);
     } else {
         body(0, n);
     }
@@ -271,8 +276,9 @@ SweepResult compute_sweep(const phys::Technology& tech, const RingConfig& config
     out.temps_c.assign(temps_c.begin(), temps_c.end());
     const AnalyticRingModel analytic(tech, config);
     const FaultPolicySpec& fault = runtime.fault;
+    exec::ThreadPool* const pool = sweep_pool(runtime);
     if (engine == Engine::Analytic) {
-        compute_points(out, runtime, kAnalyticGrain,
+        compute_points(out, pool, kAnalyticGrain,
                        [&](std::size_t i, double tc) {
             return checkpointed_point(ckpt, i, tc, [&](std::size_t pi, double ptc) {
                 return apply_policy(pi, ptc, analytic, fault,
@@ -288,8 +294,10 @@ SweepResult compute_sweep(const phys::Technology& tech, const RingConfig& config
         opt.record_waveform = false; // Sweeps only need the scalar period.
 
         // Lock-step mode: precompute every point's attempt-0 simulation
-        // in groups of kernel.lockstep_width over one shared batched
-        // evaluator, then let the policy loop below consume them. The
+        // in groups of at most kernel.lockstep_width points over one
+        // shared batched evaluator, then let the policy loop below
+        // consume them. lockstep_groups makes at least min(n, workers)
+        // groups, so no pool worker idles for want of a group. The
         // results are bitwise identical to solo attempts, so this is a
         // pure scheduling change — but it is gated off whenever a fault
         // injector is installed (attempt-0 outcomes would need per-point
@@ -303,15 +311,17 @@ SweepResult compute_sweep(const phys::Technology& tech, const RingConfig& config
                               ckpt == nullptr;
         if (lockstep) {
             pre.resize(n);
-            const auto w = static_cast<std::size_t>(opt.kernel.lockstep_width);
-            const std::size_t groups = (n + w - 1) / w;
+            const auto bounds = lockstep_groups(
+                n, static_cast<std::size_t>(opt.kernel.lockstep_width),
+                pool != nullptr ? static_cast<std::size_t>(pool->size()) : 1);
+            const std::size_t groups = bounds.size() - 1;
             const auto group_body = [&](std::size_t gb, std::size_t ge) {
                 for (std::size_t g = gb; g < ge; ++g) {
                     // Lock-step groups are the coarse unit of this
                     // phase; poll at each group boundary.
                     exec::CancelScope::current().check();
-                    const std::size_t lo = g * w;
-                    const std::size_t hi = std::min(lo + w, n);
+                    const std::size_t lo = bounds[g];
+                    const std::size_t hi = bounds[g + 1];
                     std::vector<double> temps_k(hi - lo);
                     for (std::size_t j = lo; j < hi; ++j) {
                         temps_k[j - lo] = phys::celsius_to_kelvin(out.temps_c[j]);
@@ -322,16 +332,14 @@ SweepResult compute_sweep(const phys::Technology& tech, const RingConfig& config
                     }
                 }
             };
-            if (runtime.parallel) {
-                auto& pool = runtime.pool != nullptr ? *runtime.pool
-                                                     : exec::ThreadPool::global();
-                pool.parallel_for(groups, 1, group_body);
+            if (pool != nullptr) {
+                pool->parallel_for(groups, 1, group_body);
             } else {
                 group_body(0, groups);
             }
         }
 
-        compute_points(out, runtime, kSpiceGrain,
+        compute_points(out, pool, kSpiceGrain,
                        [&](std::size_t i, double tc) {
             return checkpointed_point(ckpt, i, tc, [&](std::size_t pi, double ptc) {
                 return apply_policy(pi, ptc, analytic, fault,
@@ -378,6 +386,22 @@ void record_outcomes(const SweepResult& sweep) {
 }
 
 } // namespace
+
+std::vector<std::size_t> lockstep_groups(std::size_t n, std::size_t max_width,
+                                         std::size_t workers) {
+    if (n == 0) return {0};
+    const std::size_t w = std::max<std::size_t>(1, max_width);
+    const std::size_t pool = std::max<std::size_t>(1, workers);
+    const std::size_t groups = std::max((n - 1) / w + 1, std::min(n, pool));
+    // The first n % groups groups take one extra point.
+    const std::size_t base = n / groups;
+    const std::size_t extra = n % groups;
+    std::vector<std::size_t> bounds(groups + 1, 0);
+    for (std::size_t g = 0; g < groups; ++g) {
+        bounds[g + 1] = bounds[g] + base + (g < extra ? 1 : 0);
+    }
+    return bounds;
+}
 
 std::uint64_t sweep_fingerprint(const phys::Technology& tech,
                                 const RingConfig& config,

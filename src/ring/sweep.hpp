@@ -166,6 +166,17 @@ SweepResult paper_sweep(const phys::Technology& tech, const RingConfig& config,
                         const SpiceRingOptions& spice_opt = {},
                         const SweepRuntime& runtime = {});
 
+/// How a lock-step sweep of n points splits into groups: G =
+/// max(ceil(n / max_width), min(n, workers)) contiguous groups whose
+/// sizes differ by at most one, so no group exceeds max_width and a
+/// pool of `workers` gets at least one group per worker (n < workers
+/// gives n one-point groups). Returns G + 1 ascending offsets; group g
+/// covers [bounds[g], bounds[g + 1]). max_width and workers below 1
+/// count as 1. Grouping is pure scheduling: lock-step results are
+/// bitwise identical to solo solves whatever the split.
+std::vector<std::size_t> lockstep_groups(std::size_t n, std::size_t max_width,
+                                         std::size_t workers);
+
 /// Content fingerprint of a sweep: hashes every input that influences
 /// the result (all technology and per-stage parameters, the engine, the
 /// SPICE options when the engine is Spice, the fault policy, and the

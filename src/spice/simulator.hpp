@@ -122,10 +122,12 @@ struct TransientOptions {
 
     /// Lock-step multi-point width for the sweep layers: sweep points
     /// sharing a grid stamp advance their Newton iterations together
-    /// over one shared batched evaluator, lockstep_width points at a
-    /// time. 1 disables lock-step. Consumed by ring::temperature_sweep
-    /// (the Simulator itself always solves one point); results are
-    /// bitwise identical to per-point solves by construction.
+    /// over one shared batched evaluator, at most lockstep_width points
+    /// per group; a parallel sweep uses at least as many groups as pool
+    /// workers (ring::lockstep_groups). 1 disables lock-step. Consumed
+    /// by ring::temperature_sweep (the Simulator itself always solves
+    /// one point); results are bitwise identical to per-point solves by
+    /// construction.
     int lockstep_width = 1;
 
     /// LTE-driven adaptive time stepping (rejected steps are rolled

@@ -21,16 +21,10 @@
 namespace stsense::exec {
 namespace {
 
-/// Asserts the pool fully drains. The worker decrements inflight() just
-/// *after* notifying the group waiter, so a freshly returned wait() can
-/// race the last bookkeeping step — spin it out before asserting.
-void expect_pool_drained(ThreadPool& pool) {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((pool.queue_depth() != 0 || pool.inflight() != 0) &&
-           std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::yield();
-    }
+/// Asserts the pool fully drained. The pool settles its counters for a
+/// task before it releases the task's group, so once wait() (or
+/// parallel_for) returned they must read zero at once — no spin.
+void expect_pool_drained(const ThreadPool& pool) {
     EXPECT_EQ(pool.queue_depth(), 0u);
     EXPECT_EQ(pool.inflight(), 0u);
 }
@@ -287,12 +281,14 @@ TEST(ThreadPoolCancel, AmbientTokenCrossesTheThreadHop) {
     CancelToken token = CancelToken::make();
     CancelScope scope(token);
 
+    std::atomic<bool> started{false};
     std::atomic<bool> saw_token{false};
     std::atomic<bool> saw_fire{false};
     std::atomic<bool> fired{false};
 
     TaskGroup group(pool);
     group.run([&] {
+        started.store(true);
         // The worker re-installed the submission-time ambient token.
         saw_token.store(CancelScope::current().valid());
         while (!fired.load()) std::this_thread::yield();
@@ -300,7 +296,10 @@ TEST(ThreadPoolCancel, AmbientTokenCrossesTheThreadHop) {
         saw_fire.store(CancelScope::current().poll() ==
                        CancelCause::Disconnected);
     });
-    while (pool.inflight() == 0) std::this_thread::yield();
+    // Sync on the body, not on inflight(): the worker counts the task
+    // in flight before it polls the token, so a cancel fired in that
+    // gap would get the task skipped and make wait() throw.
+    while (!started.load()) std::this_thread::yield();
     token.cancel(CancelCause::Disconnected);
     fired.store(true);
     group.wait(); // body already started: it runs to completion

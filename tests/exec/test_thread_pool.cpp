@@ -215,17 +215,21 @@ TEST(ThreadPoolCounters, QueueDepthAndInflightTrackBlockedTasks) {
     std::mutex m;
     std::condition_variable cv;
     bool open = false;
+    std::atomic<int> started{0};
     auto blocked = [&] {
+        started.fetch_add(1);
         std::unique_lock lock(m);
         cv.wait(lock, [&] { return open; });
     };
 
-    // Two blocked tasks occupy both workers...
+    // Two blocked tasks occupy both workers. Sync on the bodies, not on
+    // inflight(): that is the counter under test, and it rises before a
+    // body starts.
     group.run(blocked);
     group.run(blocked);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (pool.inflight() < 2) {
+    while (started.load() < 2) {
         ASSERT_LT(std::chrono::steady_clock::now(), deadline)
             << "blocked tasks never started";
         std::this_thread::yield();

@@ -160,15 +160,9 @@ TEST(TemperatureSweepCancel, CancelStormUnwindsParallelSweepAndResumesBitwise) {
         }
         EXPECT_EQ(rt.cancel.poll(), exec::CancelCause::Cancelled);
     }
-    // The cancelled batch drained — nothing leaked into the pool. (The
-    // worker decrements inflight() just after notifying the waiter, so
-    // spin out that last bookkeeping step.)
-    const auto drain_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while ((pool.queue_depth() != 0 || pool.inflight() != 0) &&
-           std::chrono::steady_clock::now() < drain_deadline) {
-        std::this_thread::yield();
-    }
+    // The cancelled batch drained — nothing leaked into the pool. The
+    // pool settles its counters before it releases a task's group, so
+    // they read zero as soon as the sweep has unwound.
     EXPECT_EQ(pool.queue_depth(), 0u);
     EXPECT_EQ(pool.inflight(), 0u);
 
@@ -267,7 +261,7 @@ TEST(TemperatureSweepCancel, DeadlineCancelsMidLockstepAtAGroupBoundary) {
     // CancelledError(DeadlineExceeded), not as a half-filled series.
     const auto tech = phys::cmos350();
     const auto cfg = test_ring();
-    const auto grid = paper_temperature_grid_c(); // 17 points: 3 groups of 8
+    const auto grid = paper_temperature_grid_c(); // 17 points: serial groups 6/6/5
     auto opt = SpiceRingOptions::fast();
     ASSERT_GT(opt.kernel.lockstep_width, 1);
 

@@ -3,19 +3,25 @@
 // shared batched evaluator returns, point for point, bitwise the same
 // results as solo try_transient runs — including under injected
 // Newton-failure rungs, where each point draws from its own fault
-// stream.
+// stream — plus the sweep layer's split of a grid into lock-step
+// groups, which must hold that parity at every pool shape.
 #include "spice/lockstep.hpp"
 
 #include "exec/fault_injector.hpp"
+#include "exec/thread_pool.hpp"
+#include "obs/trace.hpp"
 #include "phys/technology.hpp"
 #include "ring/spice_ring.hpp"
 #include "ring/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace stsense::spice {
@@ -212,29 +218,112 @@ TEST(LockStepRing, BatchSimulationBitwiseMatchesSolo) {
     }
 }
 
+/// Sizes of the lock-step groups a sweep ran, read back from its
+/// spice.transient.lockstep spans (sorted; groups finish in any order).
+std::vector<std::size_t> traced_group_sizes() {
+    std::vector<std::size_t> sizes;
+    for (const auto& me : obs::Tracer::global().merged()) {
+        if (std::string(me.ev.name) == "spice.transient.lockstep") {
+            sizes.push_back(static_cast<std::size_t>(me.ev.num));
+        }
+    }
+    std::sort(sizes.begin(), sizes.end());
+    return sizes;
+}
+
+std::vector<std::size_t> group_sizes(const std::vector<std::size_t>& bounds) {
+    std::vector<std::size_t> sizes;
+    for (std::size_t g = 0; g + 1 < bounds.size(); ++g) {
+        sizes.push_back(bounds[g + 1] - bounds[g]);
+    }
+    std::sort(sizes.begin(), sizes.end());
+    return sizes;
+}
+
 TEST(LockStepRing, SweepWithLockStepWidthMatchesSoloSweep) {
+    // Every pool shape x lock-step width on the 17-point paper grid must
+    // reproduce the solo sweep bitwise, and must have split the grid
+    // exactly as ring::lockstep_groups says for that pool's width.
     const auto tech = phys::cmos350();
     const auto cfg = ring::RingConfig::uniform(cells::CellKind::Inv, 5, 2.5);
-    const std::vector<double> temps_c = {-40.0, 0.0, 25.0, 60.0, 100.0};
+    const auto temps_c = ring::paper_temperature_grid_c();
+    ASSERT_EQ(temps_c.size(), 17u);
 
-    ring::SweepRuntime runtime;
-    runtime.use_cache = false; // Both runs must actually compute.
-
-    auto solo_opt = small_ring_options();
+    const auto solo_opt = small_ring_options();
     const auto solo = ring::temperature_sweep(tech, cfg, temps_c,
                                               ring::Engine::Spice, solo_opt,
-                                              runtime);
-    auto group_opt = solo_opt;
-    group_opt.kernel.lockstep_width = 2; // Uneven split: groups of 2 + 2 + 1.
-    const auto grouped = ring::temperature_sweep(tech, cfg, temps_c,
-                                                 ring::Engine::Spice,
-                                                 group_opt, runtime);
+                                              ring::SweepRuntime::serial());
 
-    ASSERT_EQ(solo.period_s.size(), grouped.period_s.size());
-    for (std::size_t i = 0; i < solo.period_s.size(); ++i) {
-        EXPECT_TRUE(bits_equal(solo.period_s[i], grouped.period_s[i]))
-            << "point " << i;
-        EXPECT_EQ(solo.status[i], grouped.status[i]) << "point " << i;
+    auto& tracer = obs::Tracer::global();
+    for (const int workers : {0, 1, 2, 3, 4, 7}) { // 0 = SweepRuntime::serial()
+        std::unique_ptr<exec::ThreadPool> pool;
+        ring::SweepRuntime runtime = ring::SweepRuntime::serial();
+        if (workers > 0) {
+            pool = std::make_unique<exec::ThreadPool>(workers);
+            runtime.parallel = true;
+            runtime.pool = pool.get();
+        }
+        for (const int width : {2, 8, 17}) {
+            SCOPED_TRACE("workers " + std::to_string(workers) + ", width " +
+                         std::to_string(width));
+            auto group_opt = solo_opt;
+            group_opt.kernel.lockstep_width = width;
+            tracer.enable(); // Spans observe; they never change the bits.
+            const auto grouped = ring::temperature_sweep(
+                tech, cfg, temps_c, ring::Engine::Spice, group_opt, runtime);
+            tracer.disable();
+
+            ASSERT_EQ(solo.period_s.size(), grouped.period_s.size());
+            for (std::size_t i = 0; i < solo.period_s.size(); ++i) {
+                EXPECT_TRUE(bits_equal(solo.period_s[i], grouped.period_s[i]))
+                    << "point " << i;
+                EXPECT_EQ(solo.status[i], grouped.status[i]) << "point " << i;
+            }
+            const auto bounds = ring::lockstep_groups(
+                temps_c.size(), static_cast<std::size_t>(width),
+                static_cast<std::size_t>(std::max(workers, 1)));
+            EXPECT_EQ(traced_group_sizes(), group_sizes(bounds));
+        }
+    }
+    tracer.reset();
+}
+
+TEST(LockStepRing, GroupsPartitionTheGridEvenly) {
+    // The paper grid on the 4-worker pool and serially.
+    EXPECT_EQ(ring::lockstep_groups(17, 8, 4),
+              (std::vector<std::size_t>{0, 5, 9, 13, 17}));
+    EXPECT_EQ(ring::lockstep_groups(17, 8, 1),
+              (std::vector<std::size_t>{0, 6, 12, 17}));
+    // Fewer points than workers: one point per group.
+    EXPECT_EQ(ring::lockstep_groups(3, 8, 4),
+              (std::vector<std::size_t>{0, 1, 2, 3}));
+    // Degenerate inputs: no points; widths and pools below 1 count as 1.
+    EXPECT_EQ(ring::lockstep_groups(0, 8, 4), (std::vector<std::size_t>{0}));
+    EXPECT_EQ(ring::lockstep_groups(3, 0, 0),
+              (std::vector<std::size_t>{0, 1, 2, 3}));
+
+    for (std::size_t n = 1; n <= 40; ++n) {
+        for (std::size_t w = 1; w <= 20; ++w) {
+            for (std::size_t workers = 1; workers <= 9; ++workers) {
+                SCOPED_TRACE("n " + std::to_string(n) + ", w " +
+                             std::to_string(w) + ", workers " +
+                             std::to_string(workers));
+                const auto bounds = ring::lockstep_groups(n, w, workers);
+                const std::size_t groups =
+                    std::max((n + w - 1) / w, std::min(n, workers));
+                ASSERT_EQ(bounds.size(), groups + 1);
+                // Contiguous cover of [0, n) in order: each point once.
+                EXPECT_EQ(bounds.front(), 0u);
+                EXPECT_EQ(bounds.back(), n);
+                const auto sizes = group_sizes(bounds);
+                EXPECT_GE(sizes.front(), 1u);
+                EXPECT_LE(sizes.back(), w);
+                EXPECT_LE(sizes.back() - sizes.front(), 1u);
+                for (std::size_t g = 0; g + 1 < bounds.size(); ++g) {
+                    EXPECT_LT(bounds[g], bounds[g + 1]);
+                }
+            }
+        }
     }
 }
 
