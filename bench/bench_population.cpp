@@ -19,6 +19,8 @@
 //   $ ./bench/bench_population [--quick] [--json=BENCH_population.json]
 //
 // `--quick` runs 10^4 dice (the tier-1 stage); the full run 10^5.
+// Every engine run is also timed: its wall time and dice/s are printed
+// and written to the snapshot (reported, not gated).
 #include "bench_common.hpp"
 
 #include "exec/fault_injector.hpp"
@@ -30,6 +32,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -125,6 +128,24 @@ bool summaries_bitwise_equal(const population::PopulationResult& a,
     return true;
 }
 
+/// Wall time of one engine run. `dice` counts the dice the run
+/// evaluated, so a resume excludes the ones it restored.
+struct RunTiming {
+    std::string run;
+    std::uint64_t dice = 0;
+    double wall_s = 0.0;
+
+    double dice_per_s() const {
+        return wall_s > 0.0 ? static_cast<double>(dice) / wall_s : 0.0;
+    }
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
 const population::MetricSummary& metric_of(
     const population::PopulationResult& r, population::Metric m) {
     return r.metrics[static_cast<std::size_t>(m)];
@@ -142,20 +163,28 @@ int main(int argc, char** argv) {
                       std::to_string(dice) + " virtual dice");
 
     bench::ShapeChecks checks;
+    std::vector<RunTiming> timings;
+    auto timed_run = [&](const std::string& run,
+                         const population::PopulationConfig& c,
+                         const population::PopulationRuntime& rt = {}) {
+        const auto t0 = std::chrono::steady_clock::now();
+        auto res = population::run_population(c, rt);
+        timings.push_back({run, res.dice - res.resumed_dice, seconds_since(t0)});
+        return res;
+    };
 
     // ---- determinism: shard size, thread count ---------------------------
     const auto cfg = base_config(dice);
-    population::PopulationRuntime rt_default;
-    const auto r_ref = population::run_population(cfg, rt_default);
+    const auto r_ref = timed_run("reference", cfg);
 
     {
         auto cfg_reshard = cfg;
         cfg_reshard.shard_size = 512;
-        const auto r_reshard = population::run_population(cfg_reshard);
+        const auto r_reshard = timed_run("shard 512", cfg_reshard);
 
         population::PopulationRuntime rt_serial;
         rt_serial.parallel = false;
-        const auto r_serial = population::run_population(cfg, rt_serial);
+        const auto r_serial = timed_run("serial", cfg, rt_serial);
 
         checks.expect("final statistics are bitwise invariant to shard size",
                       summaries_bitwise_equal(r_ref, r_reshard));
@@ -182,16 +211,19 @@ int main(int argc, char** argv) {
             fc.only_units = {kill_shard};
             exec::FaultInjector injector(fc);
             exec::FaultInjector::Scope scope(injector);
+            const auto t0 = std::chrono::steady_clock::now();
             try {
                 (void)population::run_population(cfg, rt_kill);
             } catch (const exec::InjectedKill&) {
                 killed = true;
             }
+            timings.push_back({"killed", (kill_shard + 1) * cfg.shard_size,
+                               seconds_since(t0)});
         }
 
         population::PopulationRuntime rt_resume;
         rt_resume.checkpoint_path = ckpt_path;
-        const auto r_resumed = population::run_population(cfg, rt_resume);
+        const auto r_resumed = timed_run("resumed", cfg, rt_resume);
 
         std::cout << "kill/resume: killed after shard " << kill_shard << ", "
                   << r_resumed.resumed_dice << "/" << cfg.dice
@@ -207,7 +239,9 @@ int main(int argc, char** argv) {
 
     // ---- streaming vs exact two-pass -------------------------------------
     {
+        const auto t0 = std::chrono::steady_clock::now();
         const auto exact = exact_two_pass(cfg);
+        timings.push_back({"exact two-pass", cfg.dice, seconds_since(t0)});
         bool mean_ok = true;
         bool minmax_ok = true;
         bool quant_ok = true;
@@ -258,11 +292,11 @@ int main(int argc, char** argv) {
         row.policy = population::to_string(policy);
         auto c = cfg;
         c.calibration = policy;
-        row.never = population::run_population(c);
+        row.never = timed_run(row.policy + " never", c);
         c.recal.policy = population::RecalPolicy::Periodic;
         c.recal.interval_hours = 1000.0;
         c.recal.temp_c = 60.0;
-        row.recal = population::run_population(c);
+        row.recal = timed_run(row.policy + " recal", c);
         curve.push_back(std::move(row));
     }
 
@@ -341,6 +375,16 @@ int main(int argc, char** argv) {
     checks.expect("recalibration tightens the aged p99 error (two_point)",
                   aged_p99_recal < aged_p99_never);
 
+    util::Table timing_table({"run", "dice", "wall_s", "dice_per_s"});
+    for (const auto& t : timings) {
+        timing_table.add_row({t.run, std::to_string(t.dice),
+                              util::fixed(t.wall_s, 3),
+                              util::fixed(t.dice_per_s(), 0)});
+    }
+    std::cout << "\nengine runs on " << exec::ThreadPool::global().size()
+              << " pool threads (wall time, not gated):\n"
+              << timing_table.render();
+
     // ---- snapshot -------------------------------------------------------
     const std::string json_path =
         cli.get("json", std::string("BENCH_population.json"));
@@ -372,6 +416,16 @@ int main(int argc, char** argv) {
                  << "\"fresh_p99_c\": " << fresh.quantiles[2].value << ", "
                  << "\"fresh_max_c\": " << fresh.max << ", "
                  << "\"aged_p99_c\": " << aged.quantiles[2].value << "}";
+        }
+        json << "\n  ],\n"
+             << "  \"pool_threads\": " << exec::ThreadPool::global().size()
+             << ",\n"
+             << "  \"runs\": [";
+        for (std::size_t i = 0; i < timings.size(); ++i) {
+            const auto& t = timings[i];
+            json << (i == 0 ? "\n" : ",\n") << "    {\"run\": \"" << t.run
+                 << "\", \"dice\": " << t.dice << ", \"wall_s\": " << t.wall_s
+                 << ", \"dice_per_s\": " << t.dice_per_s() << "}";
         }
         json << "\n  ],\n"
              << "  \"metrics\": " << exec::MetricsRegistry::global().to_json()

@@ -67,11 +67,23 @@ double DelayModel::output_capacitance(const CellSpec& spec) const {
 }
 
 double DelayModel::pulldown_current(const CellSpec& spec, double temp_k) const {
+    return pulldown(spec, temp_k, phys::mobility_factor(tech_.nmos, temp_k));
+}
+
+double DelayModel::pullup_current(const CellSpec& spec, double temp_k) const {
+    return pullup(spec, temp_k, phys::mobility_factor(tech_.pmos, temp_k));
+}
+
+// The per-cell Vth shift leaves mobility alone, so the technology
+// card's factor is the shifted card's too.
+double DelayModel::pulldown(const CellSpec& spec, double temp_k,
+                            double mu_n) const {
     const CellSizes s = sizes(spec);
     const phys::MosGeometry gn{s.wn, tech_.lmin};
     phys::MosfetParams nmos = tech_.nmos;
     nmos.vth0 += spec.vth_shift_v;
-    const double unit = phys::saturation_current(nmos, gn, tech_.vdd, temp_k);
+    const double unit =
+        phys::saturation_current(nmos, gn, tech_.vdd, temp_k, mu_n);
     const double stack = nmos_stack_depth(spec.kind);
     const double par = spec.tie == SideInputTie::Bridge
                            ? nmos_parallel_count(spec.kind)
@@ -79,12 +91,14 @@ double DelayModel::pulldown_current(const CellSpec& spec, double temp_k) const {
     return unit * par / stack;
 }
 
-double DelayModel::pullup_current(const CellSpec& spec, double temp_k) const {
+double DelayModel::pullup(const CellSpec& spec, double temp_k,
+                          double mu_p) const {
     const CellSizes s = sizes(spec);
     const phys::MosGeometry gp{s.wp, tech_.lmin};
     phys::MosfetParams pmos = tech_.pmos;
     pmos.vth0 += spec.vth_shift_v;
-    const double unit = phys::saturation_current(pmos, gp, tech_.vdd, temp_k);
+    const double unit =
+        phys::saturation_current(pmos, gp, tech_.vdd, temp_k, mu_p);
     const double stack = pmos_stack_depth(spec.kind);
     const double par = spec.tie == SideInputTie::Bridge
                            ? pmos_parallel_count(spec.kind)
@@ -92,15 +106,25 @@ double DelayModel::pullup_current(const CellSpec& spec, double temp_k) const {
     return unit * par / stack;
 }
 
+Mobility DelayModel::mobility(double temp_k) const {
+    return {phys::mobility_factor(tech_.nmos, temp_k),
+            phys::mobility_factor(tech_.pmos, temp_k)};
+}
+
 CellDelays DelayModel::delays(const CellSpec& spec, double load_farads,
                               double temp_k) const {
+    return delays(spec, load_farads, temp_k, mobility(temp_k));
+}
+
+CellDelays DelayModel::delays(const CellSpec& spec, double load_farads,
+                              double temp_k, const Mobility& mu) const {
     if (load_farads < 0.0) {
         throw std::invalid_argument("DelayModel::delays: negative load");
     }
     const double cl = load_farads + output_capacitance(spec);
     CellDelays d;
-    d.tphl = kDelayFactor * cl * tech_.vdd / pulldown_current(spec, temp_k);
-    d.tplh = kDelayFactor * cl * tech_.vdd / pullup_current(spec, temp_k);
+    d.tphl = kDelayFactor * cl * tech_.vdd / pulldown(spec, temp_k, mu.nmos);
+    d.tplh = kDelayFactor * cl * tech_.vdd / pullup(spec, temp_k, mu.pmos);
     return d;
 }
 

@@ -34,6 +34,13 @@ struct CellDelays {
     double pair_delay() const { return tphl + tplh; }
 };
 
+/// Mobility factors mu(T)/mu(t0) of a technology's two device cards at
+/// one temperature (phys::mobility_factor).
+struct Mobility {
+    double nmos = 1.0;
+    double pmos = 1.0;
+};
+
 /// Analytic delay/capacitance model bound to one technology.
 class DelayModel {
 public:
@@ -55,14 +62,27 @@ public:
     double pulldown_current(const CellSpec& spec, double temp_k) const;
     double pullup_current(const CellSpec& spec, double temp_k) const;
 
+    /// The technology's mobility factors at temp_k.
+    Mobility mobility(double temp_k) const;
+
     /// Propagation delays driving `load_farads` at `temp_k`.
     CellDelays delays(const CellSpec& spec, double load_farads,
                       double temp_k) const;
+
+    /// Same, with the mobility factors supplied by the caller: `mu` must
+    /// be mobility(temp_k). Mobility depends only on the device card and
+    /// the temperature, so a ring forms it once per period rather than
+    /// once per stage. The three-argument form forwards here, so the two
+    /// are bitwise equal.
+    CellDelays delays(const CellSpec& spec, double load_farads, double temp_k,
+                      const Mobility& mu) const;
 
     const phys::Technology& technology() const { return tech_; }
 
 private:
     double resolved_ratio(const CellSpec& spec) const;
+    double pulldown(const CellSpec& spec, double temp_k, double mu_n) const;
+    double pullup(const CellSpec& spec, double temp_k, double mu_p) const;
 
     phys::Technology tech_;
 };

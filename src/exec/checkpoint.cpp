@@ -220,12 +220,13 @@ void Checkpoint::record(std::size_t index, std::span<const double> values) {
         throw std::invalid_argument("Checkpoint::record: wrong payload size");
     }
     std::lock_guard lock(m_);
-    if (done_[index] != 0) return; // A resumed point re-recorded: no-op.
     for (std::size_t v = 0; v < values_per_point_; ++v) {
         payload_[index * values_per_point_ + v] = values[v];
     }
-    done_[index] = 1;
-    ++completed_;
+    if (done_[index] == 0) {
+        done_[index] = 1;
+        ++completed_;
+    }
     ++since_flush_;
     if (flush_every_ > 0 && since_flush_ >= flush_every_) flush_locked();
 }
@@ -276,13 +277,6 @@ void Checkpoint::flush() {
 std::size_t Checkpoint::completed_count() const {
     std::lock_guard lock(m_);
     return completed_;
-}
-
-std::size_t Checkpoint::shard_progress() const {
-    std::lock_guard lock(m_);
-    std::size_t k = 0;
-    while (k < n_points_ && done_[k] != 0) ++k;
-    return k;
 }
 
 void Checkpoint::remove_file() { std::remove(path_.c_str()); }

@@ -59,12 +59,17 @@ public:
     /// Payload of a completed point (values_per_point doubles).
     std::span<const double> values(std::size_t index) const;
 
-    /// Marks `index` complete with its payload. Auto-flushes after every
-    /// `flush_every()` newly recorded points. Thread-safe.
+    /// Marks `index` complete with its payload. Recording a point that
+    /// is already complete replaces its payload (last write wins), so a
+    /// consumer that carries one evolving state can keep it in a single
+    /// point. Every record() counts toward the flush cadence:
+    /// auto-flushes after every `flush_every()` calls. Consumers whose
+    /// points are final (sweeps, the optimizer) check completed() first
+    /// and never re-record. Thread-safe.
     void record(std::size_t index, std::span<const double> values);
 
-    /// Points recorded between automatic flushes (default 8; 1 = flush
-    /// on every completion; 0 disables auto-flush).
+    /// Records between automatic flushes (default 8; 1 = flush on every
+    /// record; 0 disables auto-flush).
     void set_flush_every(std::size_t n) { flush_every_ = n; }
     std::size_t flush_every() const { return flush_every_; }
 
@@ -74,16 +79,6 @@ public:
     void flush();
 
     std::size_t completed_count() const;
-
-    /// Resume index of a *sequential* consumer: the number of contiguous
-    /// completed points starting at index 0. A sharded engine whose
-    /// point k depends on points 0..k-1 (the population Monte-Carlo
-    /// folds shard state forward) restores from values(shard_progress()
-    /// - 1) and continues at shard_progress() — instead of re-parsing
-    /// the checkpoint CSV to rediscover where the previous run stopped.
-    /// Completed points *behind* a hole (possible only for random-access
-    /// consumers like sweeps) do not extend the prefix.
-    std::size_t shard_progress() const;
 
     std::size_t n_points() const { return n_points_; }
     std::uint64_t fingerprint() const { return fingerprint_; }

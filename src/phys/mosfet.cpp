@@ -40,11 +40,15 @@ double mobility_factor(const MosfetParams& p, double temp_k) {
 
 double saturation_current(const MosfetParams& p, const MosGeometry& g,
                           double vgs, double temp_k) {
+    return saturation_current(p, g, vgs, temp_k, mobility_factor(p, temp_k));
+}
+
+double saturation_current(const MosfetParams& p, const MosGeometry& g,
+                          double vgs, double temp_k, double mu) {
     check_inputs(p, g, temp_k);
     const double vgst = vgs - threshold_voltage(p, temp_k);
     const Softplus eff = softplus(vgst, p.smoothing);
-    return p.kp * (g.w / g.l) * mobility_factor(p, temp_k) *
-           std::pow(eff.value, p.alpha);
+    return p.kp * (g.w / g.l) * mu * std::pow(eff.value, p.alpha);
 }
 
 double saturation_voltage(const MosfetParams& p, double vgs, double temp_k) {

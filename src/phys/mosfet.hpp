@@ -86,6 +86,14 @@ double mobility_factor(const MosfetParams& p, double temp_k);
 double saturation_current(const MosfetParams& p, const MosGeometry& g,
                           double vgs, double temp_k);
 
+/// Same, with the mobility factor supplied by the caller: `mu` must be
+/// mobility_factor(p, temp_k). It depends only on the device card and
+/// the temperature, so a caller evaluating many instances of one card at
+/// one temperature forms it once. The four-argument form forwards here,
+/// so the two are bitwise equal.
+double saturation_current(const MosfetParams& p, const MosGeometry& g,
+                          double vgs, double temp_k, double mu);
+
 /// Saturation voltage Vdsat for the given gate overdrive (magnitude).
 double saturation_voltage(const MosfetParams& p, double vgs, double temp_k);
 

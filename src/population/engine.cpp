@@ -113,7 +113,10 @@ void add_ring(exec::Fingerprint& fp, const ring::RingConfig& config) {
 }
 
 /// Per-die period source: the analytic model always (it is also the
-/// spice fallback), plus the transient engine when requested.
+/// spice fallback), plus the transient engine when requested. Periods
+/// are memoized by exact temperature: the calibration points and the
+/// 25 degC reference usually sit on the test grid, and a period is a
+/// pure function of (die, temperature).
 class DiePeriods {
 public:
     DiePeriods(const PopulationConfig& cfg, const phys::Technology& tech,
@@ -124,7 +127,17 @@ public:
         }
     }
 
-    double at_c(double temp_c) const {
+    double at_c(double temp_c) {
+        for (const auto& [t, p] : memo_) {
+            if (t == temp_c) return p;
+        }
+        const double period = compute(temp_c);
+        memo_.emplace_back(temp_c, period);
+        return period;
+    }
+
+private:
+    double compute(double temp_c) const {
         const double temp_k = phys::celsius_to_kelvin(temp_c);
         if (spice_) {
             auto r = spice_->try_simulate(temp_k, cfg_->spice);
@@ -139,10 +152,10 @@ public:
         return analytic_.period(temp_k);
     }
 
-private:
     const PopulationConfig* cfg_;
     ring::AnalyticRingModel analytic_;
     std::optional<ring::SpiceRingModel> spice_;
+    std::vector<std::pair<double, double>> memo_; ///< (temp_c, period).
 };
 
 /// The streaming state of a run: yield counters plus one
@@ -168,6 +181,10 @@ public:
 
     std::uint64_t dice_done() const {
         return static_cast<std::uint64_t>(dice_done_);
+    }
+    /// The dice count inside a serialized state.
+    static double dice_done_of(std::span<const double> state) {
+        return state[2];
     }
     double yield_fresh_fraction() const {
         return dice_done_ > 0.0 ? yield_fresh_ / dice_done_ : 0.0;
@@ -232,6 +249,16 @@ private:
     double dice_done_ = 0.0;
     std::vector<MetricAccumulator> metrics_;
 };
+
+/// Whether a restored dice count is one this study can have
+/// checkpointed: a whole number of dice in [1, dice], on a shard
+/// boundary unless it is the whole population. The count comes from a
+/// file, so it is checked like any outside input.
+bool is_resume_point(double done, std::uint64_t dice, std::size_t shard_size) {
+    if (!(done >= 1.0 && done <= static_cast<double>(dice))) return false;
+    const auto n = static_cast<std::uint64_t>(done);
+    return static_cast<double>(n) == done && (n == dice || n % shard_size == 0);
+}
 
 } // namespace
 
@@ -376,8 +403,8 @@ std::array<double, kMetricCount> DieEvaluator::evaluate(
                                              cont);
     }
 
-    const DiePeriods fresh(config_, tech_i, ring_i);
-    auto code_at = [&](const DiePeriods& periods, double temp_c) {
+    DiePeriods fresh(config_, tech_i, ring_i);
+    auto code_at = [&](DiePeriods& periods, double temp_c) {
         return digital::quantized_code(config_.gate, periods.at_c(temp_c));
     };
 
@@ -418,7 +445,7 @@ std::array<double, kMetricCount> DieEvaluator::evaluate(
     // in-field converter per the recalibration policy, re-measure.
     const phys::Technology aged_tech =
         apply_aging(tech_i, config_.aging, config_.horizon_hours, rate);
-    const DiePeriods aged(config_, aged_tech, ring_i);
+    DiePeriods aged(config_, aged_tech, ring_i);
 
     digital::LinearConverter conv_aged = conv;
     if (config_.recal.policy == RecalPolicy::Periodic &&
@@ -431,7 +458,7 @@ std::array<double, kMetricCount> DieEvaluator::evaluate(
             config_.recal.interval_hours;
         const phys::Technology recal_tech =
             apply_aging(tech_i, config_.aging, t_recal, rate);
-        const DiePeriods at_recal(config_, recal_tech, ring_i);
+        DiePeriods at_recal(config_, recal_tech, ring_i);
         const auto recal_code = code_at(at_recal, config_.recal.temp_c);
         const auto recal_cal = analysis::LinearCalibration::one_point(
             {config_.recal.temp_c, static_cast<double>(recal_code)},
@@ -477,24 +504,38 @@ PopulationResult run_population(const PopulationConfig& config,
     Accumulators acc(config.quantiles);
     const std::size_t state_size = acc.state_size();
 
+    // The accumulator state after shard s already holds shards 0..s, so
+    // the checkpoint keeps one point — the newest state — and every
+    // fold overwrites it.
     std::optional<exec::Checkpoint> ckpt;
+    auto open_checkpoint = [&] {
+        ckpt.emplace(rt.checkpoint_path, fp, 1, state_size);
+        ckpt->set_flush_every(rt.checkpoint_every);
+    };
     std::size_t first_shard = 0;
     std::uint64_t resumed_dice = 0;
     if (!rt.checkpoint_path.empty()) {
-        ckpt.emplace(rt.checkpoint_path, fp, n_shards, state_size);
-        ckpt->set_flush_every(rt.checkpoint_every);
-        ckpt->load();
-        // Shard s's payload is the accumulator state after folding
-        // shards 0..s (sequential dependency), so the resume point is
-        // the contiguous completed prefix — never a later hole-backed
-        // shard.
-        first_shard = ckpt->shard_progress();
-        if (first_shard > 0) {
-            acc.restore(ckpt->values(first_shard - 1));
-            resumed_dice = acc.dice_done();
-            exec::MetricsRegistry::global()
-                .counter("population.resumed_dice")
-                .add(resumed_dice);
+        open_checkpoint();
+        if (ckpt->load() > 0) {
+            const auto state = ckpt->values(0);
+            const double done = Accumulators::dice_done_of(state);
+            if (is_resume_point(done, dice, shard_size)) {
+                acc.restore(state);
+                resumed_dice = static_cast<std::uint64_t>(done);
+                first_shard = static_cast<std::size_t>(
+                    (resumed_dice + shard_size - 1) / shard_size);
+                exec::MetricsRegistry::global()
+                    .counter("population.resumed_dice")
+                    .add(resumed_dice);
+            } else {
+                // Checksummed, but not a state this study can have
+                // written: start fresh, and drop it from memory so a
+                // cancel before the first fold cannot persist it again.
+                exec::MetricsRegistry::global()
+                    .counter("population.rejected_checkpoints")
+                    .add();
+                open_checkpoint();
+            }
         }
     }
 
@@ -553,7 +594,7 @@ PopulationResult run_population(const PopulationConfig& config,
             if (ckpt) {
                 std::vector<double> state(state_size);
                 acc.serialize(state);
-                ckpt->record(s, state);
+                ckpt->record(0, state);
             }
             // The kill site models process death *after* the shard
             // completed (record done, no explicit flush): resume must

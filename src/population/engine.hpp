@@ -16,10 +16,13 @@
 //   * dice are folded in ascending die order, shard by shard, so the
 //     final statistics are bitwise invariant to thread count AND shard
 //     size;
-//   * the checkpoint payload of shard s is the complete accumulator
-//     state after folding shards 0..s, keyed by the config fingerprint,
-//     so a killed run resumes at shard_progress() with bitwise-identical
-//     final statistics (gated by bench_population).
+//   * the accumulator state after folding shards 0..s is complete, so
+//     the checkpoint (keyed by the config fingerprint) holds one point:
+//     the newest state, overwritten after every fold. A killed run
+//     restores it and continues at shard ceil(dice_done / shard_size)
+//     with bitwise-identical final statistics (gated by
+//     bench_population). A restored dice count off a shard boundary or
+//     past the population is rejected, and the run starts fresh.
 #pragma once
 
 #include "analysis/calibration.hpp"

@@ -20,7 +20,9 @@ public:
     /// Validates both arguments; copies them in.
     AnalyticRingModel(const phys::Technology& tech, RingConfig config);
 
-    /// Oscillation period at junction temperature `temp_k` [s].
+    /// Oscillation period at junction temperature `temp_k` [s]. Forms
+    /// the mobility factors once per device card, not once per stage;
+    /// bitwise the plain sum of the stages' delays(stage, load, temp_k).
     double period(double temp_k) const;
 
     /// Oscillation frequency at `temp_k` [Hz].

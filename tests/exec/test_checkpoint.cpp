@@ -111,6 +111,23 @@ TEST(Checkpoint, AutoFlushesEveryN) {
     EXPECT_TRUE(file_exists(f.path)); // Second point triggered the flush.
 }
 
+TEST(Checkpoint, ReRecordCountsTowardTheFlushCadence) {
+    // One point carrying an evolving state: every record() is a write
+    // the cadence counts, and the file holds the newest payload.
+    TempFile f("ckpt_rerecord.csv");
+    Checkpoint c(f.path, 7, 1, 1);
+    c.set_flush_every(2);
+    const double first[1] = {1.0};
+    const double second[1] = {2.0};
+    c.record(0, first);
+    EXPECT_FALSE(file_exists(f.path));
+    c.record(0, second);
+    EXPECT_TRUE(file_exists(f.path));
+    Checkpoint r(f.path, 7, 1, 1);
+    EXPECT_EQ(r.load(), 1u);
+    EXPECT_EQ(r.values(0)[0], 2.0);
+}
+
 TEST(Checkpoint, FingerprintMismatchRejectsWholeFile) {
     TempFile f("ckpt_stale.csv");
     {
@@ -189,8 +206,11 @@ TEST(Checkpoint, RecordValidatesArguments) {
     EXPECT_THROW(c.record(2, ok), std::out_of_range);
     EXPECT_THROW(c.record(0, wrong), std::invalid_argument);
     c.record(0, ok);
-    c.record(0, ok); // Re-record is a harmless no-op.
+    const double newer[2] = {3.0, 4.0};
+    c.record(0, newer); // Re-record: the second payload wins.
     EXPECT_EQ(c.completed_count(), 1u);
+    EXPECT_EQ(c.values(0)[0], 3.0);
+    EXPECT_EQ(c.values(0)[1], 4.0);
 }
 
 TEST(Checkpoint, RemoveFileDeletesAndToleratesMissing) {

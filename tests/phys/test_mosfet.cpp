@@ -28,6 +28,23 @@ TEST(Mosfet, MobilityDegradesWithTemperature) {
     EXPECT_GT(mobility_factor(p, 250.0), 1.0);
 }
 
+TEST(Mosfet, SuppliedMobilityIsBitwiseTheComputedOne) {
+    // The analytic ring hoists mobility_factor out of its stage loop; the
+    // hoisted form must not move a bit of the drive current.
+    for (const MosfetParams& p : {nmos(), pmos()}) {
+        for (const MosGeometry g : {unit_geom(), MosGeometry{4.2e-6, 0.35e-6}}) {
+            for (double vgs : {0.0, 0.6, 1.1, 3.3}) {
+                for (double t = 223.15; t <= 423.15; t += 12.5) {
+                    EXPECT_EQ(saturation_current(p, g, vgs, t,
+                                                 mobility_factor(p, t)),
+                              saturation_current(p, g, vgs, t))
+                        << "vgs=" << vgs << " T=" << t;
+                }
+            }
+        }
+    }
+}
+
 TEST(Mosfet, SaturationCurrentScalesWithWidth) {
     const auto p = nmos();
     MosGeometry g1 = unit_geom();

@@ -7,11 +7,16 @@
 #include "exec/cancel.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/fault_injector.hpp"
+#include "exec/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +50,24 @@ PopulationConfig small_config(std::uint64_t dice = 300,
     cfg.recal.policy = RecalPolicy::Periodic;
     cfg.recal.interval_hours = 1000.0;
     return cfg;
+}
+
+std::size_t line_count(const std::string& path) {
+    std::ifstream in(path);
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);) ++n;
+    return n;
+}
+
+/// Size of the engine's serialized accumulator state: yield counters
+/// and dice count, then one MetricAccumulator per metric.
+std::size_t state_size(const PopulationConfig& cfg) {
+    return 3 + static_cast<std::size_t>(kMetricCount) *
+                   MetricAccumulator(cfg.quantiles).state_size();
+}
+
+std::uint64_t counter_value(const char* name) {
+    return exec::MetricsRegistry::global().counter(name).value();
 }
 
 bool results_bitwise_equal(const PopulationResult& a,
@@ -249,6 +272,186 @@ TEST(PopulationEngine, ValidateNamesTheField) {
         FAIL() << "expected rejection";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("quantiles"), std::string::npos);
+    }
+}
+
+TEST(PopulationEngine, KeptCheckpointHoldsOneRowAfterAnyNumberOfShards) {
+    // The state after shard s already holds shards 0..s: the file keeps
+    // the header and the newest state only, however far the run got.
+    const auto cfg = small_config(200, 32); // 7 shards.
+    TempFile f("population_one_row.ckpt");
+    PopulationRuntime rt;
+    rt.checkpoint_path = f.path;
+    rt.keep_checkpoint = true;
+    std::vector<std::size_t> lines;
+    rt.on_shard = [&](const PopulationProgress&) {
+        lines.push_back(line_count(f.path));
+    };
+    const auto res = run_population(cfg, rt);
+    ASSERT_EQ(lines.size(), res.shards);
+    for (std::size_t s = 0; s < lines.size(); ++s) {
+        EXPECT_EQ(lines[s], 2u) << "after shard " << s;
+    }
+    EXPECT_EQ(line_count(f.path), 2u);
+}
+
+TEST(PopulationEngine, MultiRowCheckpointLayoutIsIgnoredAsStale) {
+    // A checkpoint in the earlier layout — one row per shard, n_points
+    // = shard count — fails the header check and resumes nothing.
+    const auto cfg = small_config(200, 32); // 7 shards.
+    const auto reference = run_population(cfg);
+    const std::uint64_t fp = population_fingerprint(cfg);
+    const std::size_t n_shards = reference.shards;
+    const std::size_t width = state_size(cfg);
+
+    TempFile current("population_layout_now.ckpt");
+    TempFile old_layout("population_layout_old.ckpt");
+    exec::Checkpoint old(old_layout.path, fp, n_shards, width);
+    old.set_flush_every(0);
+    PopulationRuntime writer;
+    writer.checkpoint_path = current.path;
+    writer.keep_checkpoint = true;
+    std::size_t shard = 0;
+    writer.on_shard = [&](const PopulationProgress&) {
+        // Copy each shard's state into the row the old layout gave it.
+        exec::Checkpoint now(current.path, fp, 1, width);
+        ASSERT_EQ(now.load(), 1u);
+        old.record(shard++, now.values(0));
+    };
+    (void)run_population(cfg, writer);
+    old.flush();
+    ASSERT_EQ(line_count(old_layout.path), 1 + n_shards);
+
+    const auto stale_before = counter_value("exec.checkpoint.stale_files");
+    PopulationRuntime rt;
+    rt.checkpoint_path = old_layout.path;
+    const auto resumed = run_population(cfg, rt);
+    EXPECT_EQ(counter_value("exec.checkpoint.stale_files"), stale_before + 1);
+    EXPECT_EQ(resumed.resumed_dice, 0u);
+    EXPECT_TRUE(results_bitwise_equal(reference, resumed));
+}
+
+TEST(PopulationEngine, RestoredDiceCountOutsideTheStudyIsRejected) {
+    // The checkpoint is outside input: a checksummed state whose dice
+    // count is off a shard boundary, past the population, or not a
+    // count at all is discarded, counted, and the run starts fresh.
+    const auto cfg = small_config(200, 32);
+    const auto reference = run_population(cfg);
+    const std::uint64_t fp = population_fingerprint(cfg);
+    const std::size_t width = state_size(cfg);
+
+    TempFile f("population_crafted.ckpt");
+    std::vector<double> state;
+    {
+        PopulationRuntime rt;
+        rt.checkpoint_path = f.path;
+        rt.keep_checkpoint = true;
+        (void)run_population(cfg, rt);
+        exec::Checkpoint kept(f.path, fp, 1, width);
+        ASSERT_EQ(kept.load(), 1u);
+        const auto v = kept.values(0);
+        state.assign(v.begin(), v.end());
+        ASSERT_EQ(state[2], static_cast<double>(cfg.dice));
+    }
+
+    for (double done : {33.0, 64.5, 224.0, 0.0, -32.0,
+                        std::numeric_limits<double>::quiet_NaN()}) {
+        state[2] = done;
+        exec::Checkpoint crafted(f.path, fp, 1, width);
+        crafted.record(0, state);
+        crafted.flush();
+
+        const auto rejected_before =
+            counter_value("population.rejected_checkpoints");
+        PopulationRuntime rt;
+        rt.checkpoint_path = f.path;
+        const auto res = run_population(cfg, rt);
+        EXPECT_EQ(counter_value("population.rejected_checkpoints"),
+                  rejected_before + 1)
+            << "dice_done " << done;
+        EXPECT_EQ(res.resumed_dice, 0u) << "dice_done " << done;
+        EXPECT_TRUE(results_bitwise_equal(reference, res))
+            << "dice_done " << done;
+    }
+}
+
+TEST(PopulationEngine, TornPopulationFlushResumesFromZero) {
+    // The trade-off of keeping one row: a torn write of it leaves no
+    // earlier shard to fall back on, so the resume starts at die 0 —
+    // and still lands on the uninterrupted result bitwise.
+    const auto cfg = small_config(200, 32);
+    const auto reference = run_population(cfg);
+    TempFile f("population_torn.ckpt");
+    PopulationRuntime rt;
+    rt.checkpoint_path = f.path;
+    rt.checkpoint_every = 1;
+
+    exec::FaultInjector::Config fc;
+    fc.seed = 1;
+    fc.p_ckpt_truncate = 1.0; // Every flush is torn.
+    fc.p_shard_kill = 1.0;
+    fc.only_units = {4};
+    bool killed = false;
+    {
+        exec::FaultInjector injector(fc);
+        exec::FaultInjector::Scope scope(injector);
+        try {
+            (void)run_population(cfg, rt);
+        } catch (const exec::InjectedKill&) {
+            killed = true;
+        }
+    }
+    ASSERT_TRUE(killed);
+    ASSERT_TRUE(file_exists(f.path));
+
+    const auto resumed = run_population(cfg, rt);
+    EXPECT_EQ(resumed.resumed_dice, 0u);
+    EXPECT_TRUE(results_bitwise_equal(reference, resumed));
+}
+
+TEST(PopulationEngine, PopulationMcDiceMatchGoldenBits) {
+    // The benchmark's population_mc study (seed 1). The hex bits were
+    // taken before the analytic model formed mobility once per device
+    // card and before die periods were memoized: neither may move one.
+    PopulationConfig cfg;
+    cfg.dice = 100000;
+    cfg.shard_size = 1024;
+    cfg.seed = 1;
+    cfg.variation.vth_sigma = 0.015;
+    cfg.variation.kp_rel_sigma = 0.04;
+    cfg.variation.vdd_rel_sigma = 0.005;
+    cfg.mismatch = {0.01, 0.004};
+    cfg.aging.vth_drift_v = 0.0008;
+    cfg.aging.drive_degradation_rel = 0.0015;
+    cfg.aging.rate_sigma_ln = 0.2;
+    cfg.horizon_hours = 10000.0;
+    cfg.yield_limit_c = 1.0;
+
+    struct Golden {
+        std::uint64_t die;
+        std::array<std::uint64_t, kMetricCount> bits;
+    };
+    const Golden golden[] = {
+        {0, {0x3fee68c000000000ULL, 0x3fdd38da235d1dfaULL, 0x3ff3480000000000ULL,
+             0x3ff3551000000000ULL, 0x3fe66c45ef95df3fULL, 0x3fa077e3acab9991ULL}},
+        {1, {0x3fef704000000000ULL, 0x3fdf155f4674ea77ULL, 0x3ff56e8000000000ULL,
+             0x3ff5b3d000000000ULL, 0x3fe55f8a32db2ec4ULL, 0x3fa15b1e5f75270dULL}},
+        {1023, {0x3fed41e000000000ULL, 0x3fdb6324e2357d63ULL, 0x3ffdd05000000000ULL,
+                0x3ffd4a5000000000ULL, 0x3fe5fc7b8de40e87ULL, 0x3fa0bb6610bb6611ULL}},
+        {1024, {0x3fe947c000000000ULL, 0x3fd823be8b6d4e09ULL, 0x40007c0800000000ULL,
+                0x400033b000000000ULL, 0x3fe53bb3171ef4dbULL, 0x3fa138bed0e614d7ULL}},
+        {54321, {0x3ff0da6000000000ULL, 0x3fe091d42ec75e09ULL, 0x3ff913c000000000ULL,
+                 0x3ff9278000000000ULL, 0x3fe66df1bb9bbb79ULL, 0x3fa09e3403a7ecb9ULL}},
+        {99999, {0x3fec4b2000000000ULL, 0x3fdac60ae1704e3aULL, 0x3fff1d7000000000ULL,
+                 0x3ffe6f8000000000ULL, 0x3fe5ed05c3dfc201ULL, 0x3fa0be333bc5bc06ULL}},
+    };
+    const DieEvaluator eval(cfg);
+    for (const Golden& g : golden) {
+        const auto v = eval.evaluate(g.die);
+        for (int m = 0; m < kMetricCount; ++m) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(v[m]), g.bits[m])
+                << "die " << g.die << ", " << to_string(static_cast<Metric>(m));
+        }
     }
 }
 

@@ -1,8 +1,15 @@
 #include "ring/analytic.hpp"
 
+#include "phys/corners.hpp"
 #include "phys/units.hpp"
+#include "sensor/presets.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace stsense::ring {
 namespace {
@@ -10,6 +17,19 @@ namespace {
 using cells::CellKind;
 
 constexpr double kRoomK = 300.15;
+
+/// The technology moved `k` sigma of the default die-to-die variation:
+/// both thresholds up by k * vth_sigma, both current factors scaled by
+/// (1 - k * kp_rel_sigma) — a slow die for k > 0, a fast one for k < 0.
+phys::Technology sigma_shifted(double k) {
+    const phys::VariationSpec var;
+    phys::Technology t = phys::cmos350();
+    for (phys::MosfetParams* p : {&t.nmos, &t.pmos}) {
+        p->vth0 += k * var.vth_sigma;
+        p->kp *= 1.0 - k * var.kp_rel_sigma;
+    }
+    return t;
+}
 
 TEST(AnalyticRing, PeriodPlausibleFor5StageInv) {
     const AnalyticRingModel m(phys::cmos350(), RingConfig::uniform(CellKind::Inv, 5));
@@ -98,6 +118,45 @@ TEST(AnalyticRing, WireCapSlowsRing) {
     const double p1 =
         AnalyticRingModel(tech, RingConfig::uniform(CellKind::Inv, 5)).period(kRoomK);
     EXPECT_GT(p1, p0);
+}
+
+TEST(AnalyticRing, PeriodIsBitwiseThePlainSumOfStageDelays) {
+    // period() forms the mobility factors once per device card; the
+    // result must equal, bit for bit, the plain per-stage sum in which
+    // every stage forms them itself.
+    std::vector<std::pair<std::string, RingConfig>> rings =
+        sensor::presets::fig3_configurations();
+    for (double r : sensor::presets::kFig2Ratios) {
+        rings.emplace_back(
+            "5xINV Wp/Wn=" + std::to_string(r),
+            RingConfig::uniform(CellKind::Inv, sensor::presets::kPaperStages, r));
+    }
+    util::Rng rng(2005);
+    rings.emplace_back("13xINV mismatched",
+                       sample_stage_mismatch(RingConfig::uniform(CellKind::Inv, 13),
+                                             MismatchSpec{0.01, 0.004}, rng));
+
+    const std::vector<std::pair<std::string, phys::Technology>> techs = {
+        {"nominal", phys::cmos350()},
+        {"+1 sigma", sigma_shifted(1.0)},
+        {"-1 sigma", sigma_shifted(-1.0)},
+    };
+    for (const auto& [tech_name, tech] : techs) {
+        for (const auto& [ring_name, ring] : rings) {
+            const AnalyticRingModel m(tech, ring);
+            for (double tc = -50.0; tc <= 150.0; tc += 12.5) {
+                const double tk = phys::celsius_to_kelvin(tc);
+                double sum = 0.0;
+                for (std::size_t i = 0; i < ring.stages.size(); ++i) {
+                    sum += m.delay_model()
+                               .delays(ring.stages[i], m.stage_load(i), tk)
+                               .pair_delay();
+                }
+                EXPECT_EQ(m.period(tk), sum)
+                    << tech_name << ", " << ring_name << ", " << tc << " degC";
+            }
+        }
+    }
 }
 
 } // namespace
