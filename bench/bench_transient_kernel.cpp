@@ -2,12 +2,13 @@
 // the Fig. 2 ratio family simulated point by point with the SPICE
 // engine. The ablation ladder stacks the kernel features one at a time
 // on top of the PR 3 fast kernel (device bypass + early exit over a
-// dense per-iteration LU):
+// dense per-iteration LU). Every rung evaluates its devices through the
+// SoA batch, the engine's only evaluator:
 //
 //   seed     fixed-step full Newton, every device evaluated, dense LU
-//   pr3      + 0.5 mV device bypass + settled-period early exit
-//   soa      + batched SoA device evaluation (scalar lane kernel)
-//   simd     + runtime-dispatched AVX2 lane kernel (bitwise == soa)
+//   pr3      + 0.5 mV device bypass + settled-period early exit, scalar
+//            lane kernel
+//   simd     + runtime-dispatched AVX2 lane kernel (bitwise == pr3)
 //   banded   + bordered-band LU on the ring's MNA pattern
 //   reuse    + contraction-gated modified Newton (LU reuse)
 //   lockstep + lock-step multi-point driver (try_simulate_batch)
@@ -40,6 +41,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -157,12 +159,9 @@ int main(int argc, char** argv) {
     ring::SpiceRingOptions pr3_opt = seed_opt;
     pr3_opt.early_exit = true;
     pr3_opt.kernel.bypass_tol_v = 5e-4;
+    pr3_opt.kernel.simd = util::SimdMode::ForceScalar;
 
-    ring::SpiceRingOptions soa_opt = pr3_opt;
-    soa_opt.kernel.batch_eval = true;
-    soa_opt.kernel.simd = util::SimdMode::ForceScalar;
-
-    ring::SpiceRingOptions simd_opt = soa_opt;
+    ring::SpiceRingOptions simd_opt = pr3_opt;
     simd_opt.kernel.simd = util::SimdMode::Auto;
 
     ring::SpiceRingOptions banded_opt = simd_opt;
@@ -244,8 +243,8 @@ int main(int argc, char** argv) {
 
     Row seed = measure("seed", "seed (fixed, full Newton)", seed_opt, false);
     std::vector<Row> rows;
-    rows.push_back(measure("pr3", "pr3 (+bypass +early-exit)", pr3_opt, false));
-    rows.push_back(measure("soa", " +SoA batch (scalar)", soa_opt, false));
+    rows.push_back(measure("pr3", "pr3 (+bypass +early-exit, scalar)", pr3_opt,
+                           false));
     rows.push_back(measure("simd", std::string(" +SIMD (") +
                                        util::simd_level_name(level) + ")",
                            simd_opt, false));
@@ -283,8 +282,15 @@ int main(int argc, char** argv) {
     }
 
     const std::size_t points = ratios.size() * temps_c.size();
-    const Row& pr3 = rows.front();
-    const Row& fast = rows.back();
+    const auto row = [&](const std::string& name) -> const Row& {
+        for (const Row& r : rows) {
+            if (r.name == name) return r;
+        }
+        throw std::logic_error("bench_transient_kernel: no rung " + name);
+    };
+    const Row& pr3 = row("pr3");
+    const Row& reuse = row("reuse");
+    const Row& fast = row("lockstep");
     const auto speedup_vs = [](const Row& num, const Row& den) {
         return den.wall_s > 0.0 ? num.wall_s / den.wall_s : 0.0;
     };
@@ -395,15 +401,15 @@ int main(int argc, char** argv) {
         }
     }
     checks.expect("scalar and SIMD lane kernels agree bitwise",
-                  periods_bitwise_equal(rows[1].periods, rows[2].periods));
+                  periods_bitwise_equal(pr3.periods, row("simd").periods));
     checks.expect("lock-step rung bitwise-matches the solo reuse rung",
-                  periods_bitwise_equal(rows[4].periods, rows[5].periods));
+                  periods_bitwise_equal(reuse.periods, fast.periods));
     checks.expect("every fast run banked its cycles and exited early",
                   fast.early_exits == static_cast<long>(points));
     checks.expect("the fast pass served device evaluations from the bypass cache",
                   fast.c.bypass_hits > 0);
     checks.expect("the fast pass actually reused factorizations",
-                  fast.c.reuses > 0 && rows[4].c.reuses > 0);
+                  fast.c.reuses > 0 && reuse.c.reuses > 0);
     checks.expect("the fast pass factored through the banded kernel",
                   fast.c.banded_factors > 0);
     checks.expect("the fast pass evaluated devices through the SoA batch",

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: full build + test suite, then the concurrency-sensitive
-# exec/ring tests again under ThreadSanitizer, then the fault-injection
-# suite under AddressSanitizer (error recovery paths unwind through
-# partially-built state — exactly where leaks and UAFs hide). Run from
-# anywhere; builds live in <repo>/build, <repo>/build-tsan, and
-# <repo>/build-asan.
+# exec/ring tests again under ThreadSanitizer, then the whole suite
+# under AddressSanitizer + UndefinedBehaviorSanitizer (error recovery
+# paths unwind through partially-built state — exactly where leaks and
+# UAFs hide). Run from anywhere; builds live in <repo>/build,
+# <repo>/build-tsan, and <repo>/build-asan.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -149,18 +149,16 @@ cmake --build "$repo/build-tsan" --target stsense_tests -j "$jobs"
 "$repo/build-tsan/tests/stsense_tests" \
     --gtest_filter='ThreadPool*:TaskGroup*:ResultCache*:Metrics*:Fingerprint*:ExecDeterminism*:TemperatureSweep*:PaperSweep*:Variation*:FaultInjector*:SweepFaultPolicy*:Tracer*:TraceParity*:Service*:DtmService*:CancelToken*:CancelScope*:OptimizerCancel*:Population*:VariationStream*'
 
-echo "== tier 1: fault-injection suite under AddressSanitizer =="
+echo "== tier 1: whole suite under AddressSanitizer + UBSan =="
+# STSENSE_SANITIZE=address builds with -fsanitize=address,undefined.
 cmake -B "$repo/build-asan" -S "$repo" -DSTSENSE_SANITIZE=address
 cmake --build "$repo/build-asan" --target stsense_tests -j "$jobs"
-# Recovery and policy code paths unwind through exceptions and partial
-# results; ASan gates them for leaks, overflows, and use-after-free —
-# including the service's kill-mid-request and drain/resume paths, the
-# DTM supervisor's latch/probe/backoff ladder plus the chaos matrix
-# (fault scenarios exercise the injector scopes end to end), and every
-# cancellation unwind path: skipped pool tasks, mid-sweep teardown with
-# a checkpoint flush in flight, CancelStorm trips, and the retrying
-# client's re-submit loop.
-"$repo/build-asan/tests/stsense_tests" \
-    --gtest_filter='FaultInjector*:RecoveryLadder*:SweepFaultPolicy*:CacheChecksum*:ThreadPoolFault*:TaskGroupFault*:ServiceDrainResume*:ServiceRuntime*:DtmSupervisor*:DtmPid*:DtmAutotune*:DtmChaos*:CancelToken*:CancelScope*:ThreadPoolCancel*:FaultInjectorCancel*:TemperatureSweepCancel*:OptimizerCancel*:ServiceCancel*:ServiceRetry*:Population*:Checkpoint*'
+# Every suite, not a hand-kept filter (which went stale with each new
+# suite): recovery and policy paths unwind through exceptions and
+# partial results, the kernel's batched evaluator scatters through
+# precomputed flat offsets, and the service, DTM and cancellation
+# layers tear down mid-flight — ASan gates them all for leaks,
+# overflows and use-after-free, and UBSan reports undefined arithmetic.
+ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 
 echo "tier 1: all gates passed"

@@ -54,11 +54,6 @@ RuntimeOptions& RuntimeOptions::lockstep(int width) {
     return *this;
 }
 
-RuntimeOptions& RuntimeOptions::batch_eval(bool on) {
-    batch_eval_ = on;
-    return *this;
-}
-
 RuntimeOptions& RuntimeOptions::banded_lu(bool on) {
     banded_lu_ = on;
     return *this;
@@ -178,7 +173,6 @@ spice::TransientOptions RuntimeOptions::transient_options() const {
     // RuntimeOptions still projects the bitwise seed-identical engine.
     t.simd = simd_;
     if (lockstep_ > 0) t.lockstep_width = lockstep_;
-    if (batch_eval_.has_value()) t.batch_eval = *batch_eval_;
     if (banded_lu_.has_value()) t.banded_lu = *banded_lu_;
     return t;
 }

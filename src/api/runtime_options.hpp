@@ -72,16 +72,17 @@ public:
     RuntimeOptions& fault_policy(ring::FaultPolicy policy, int max_retries = 2,
                                  double retry_steps_factor = 2.0);
 
-    /// The tuned fast transient path: batched SoA evaluation + device
-    /// bypass + banded LU + contraction-gated reuse + lock-step + early
-    /// exit (the SpiceRingOptions::fast() / TransientOptions::fast()
-    /// presets). The knobs below override individual kernel features on
-    /// top of whichever preset this selects.
+    /// The tuned fast transient path: device bypass + banded LU +
+    /// contraction-gated reuse + lock-step + early exit (the
+    /// SpiceRingOptions::fast() / TransientOptions::fast() presets). The
+    /// knobs below override individual kernel features on top of
+    /// whichever preset this selects.
     RuntimeOptions& fast_kernel(bool on);
 
-    /// Lane-kernel dispatch for the batched evaluator (Auto probes the
-    /// CPU; the STSENSE_SIMD environment variable still wins at resolve
-    /// time). Applies to both presets — a no-op unless batch_eval is on.
+    /// Lane-kernel dispatch for the device batch (Auto probes the CPU;
+    /// the STSENSE_SIMD environment variable still wins at resolve
+    /// time). Applies to both presets; either kernel gives bitwise the
+    /// same answers.
     RuntimeOptions& simd(util::SimdMode mode);
 
     /// Lock-step width override: at most this many sweep points per
@@ -90,10 +91,6 @@ public:
     /// keeps the selected preset's width (1 plain / 8 fast); 1 forces
     /// solo; >= 2 opts a default-kernel run into lock-step.
     RuntimeOptions& lockstep(int width);
-
-    /// Batched-SoA-evaluation override on top of the selected preset
-    /// (bitwise identical to the per-device loop, so safe everywhere).
-    RuntimeOptions& batch_eval(bool on);
 
     /// Bordered-band-LU override on top of the selected preset (agrees
     /// with dense to rounding, not bitwise — see TransientOptions).
@@ -201,7 +198,6 @@ private:
     bool fast_kernel_ = false;
     util::SimdMode simd_ = util::SimdMode::Auto;
     int lockstep_ = 0; ///< 0 = the selected preset's width.
-    std::optional<bool> batch_eval_; ///< Unset = the preset's choice.
     std::optional<bool> banded_lu_;  ///< Unset = the preset's choice.
     std::string trace_path_;
     bool health_ = false;

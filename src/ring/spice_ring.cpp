@@ -1,7 +1,6 @@
 #include "ring/spice_ring.hpp"
 
 #include "cells/cell_netlist.hpp"
-#include "exec/fault_injector.hpp"
 #include "exec/metrics.hpp"
 #include "ring/analytic.hpp"
 #include "spice/lockstep.hpp"
@@ -205,17 +204,6 @@ std::vector<spice::Result<RingSimResult>> SpiceRingModel::try_simulate_batch(
     std::vector<spice::Result<RingSimResult>> out;
     if (temps_k.empty()) return out;
     out.reserve(temps_k.size());
-
-    if (opt.kernel.adaptive) {
-        // Adaptive points reject/grow steps independently — no common
-        // phase to lock. Solo loop keeps the contract.
-        for (std::size_t i = 0; i < temps_k.size(); ++i) {
-            std::optional<exec::FaultContext> guard;
-            if (!fault_ctx.empty()) guard.emplace(fault_ctx[i]);
-            out.push_back(try_simulate(temps_k[i], opt));
-        }
-        return out;
-    }
 
     // One netlist, shared by every point: the circuit topology is
     // temperature-independent (temperature enters through SimOptions).

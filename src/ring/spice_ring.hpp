@@ -96,8 +96,6 @@ public:
     /// (must match temps_k's length), gives the per-point
     /// exec::FaultContext ids to install around each point's injected-
     /// sabotage draws — pass the same ids the solo sweep path would.
-    /// Adaptive-stepping kernels have no common phase; those fall back to
-    /// a per-point solo loop.
     std::vector<spice::Result<RingSimResult>> try_simulate_batch(
         std::span<const double> temps_k, const SpiceRingOptions& opt = {},
         std::span<const std::uint64_t> fault_ctx = {}) const;

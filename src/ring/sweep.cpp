@@ -306,7 +306,6 @@ SweepResult compute_sweep(const phys::Technology& tech, const RingConfig& config
         const std::size_t n = out.temps_c.size();
         std::vector<std::optional<spice::Result<RingSimResult>>> pre;
         const bool lockstep = opt.kernel.lockstep_width > 1 &&
-                              !opt.kernel.adaptive &&
                               exec::FaultInjector::active() == nullptr &&
                               ckpt == nullptr;
         if (lockstep) {
@@ -439,10 +438,10 @@ std::uint64_t sweep_fingerprint(const phys::Technology& tech,
             .add(static_cast<std::int64_t>(spice_opt.max_total_newton_iters));
         // Fast-kernel knobs change the computed values, so a fast sweep
         // and a seed-identical sweep must not alias in the cache.
-        // batch_eval / simd / lockstep_width are deliberately absent:
-        // they are bitwise-neutral (the SoA/SIMD/lock-step paths carry a
-        // parity contract with the legacy loop), so toggling them must
-        // hit the same cache entry. banded_lu and reuse_stall_ratio DO
+        // simd / lockstep_width are deliberately absent: they are
+        // bitwise-neutral (the SIMD and lock-step paths carry a parity
+        // contract with the scalar solo run), so toggling them must hit
+        // the same cache entry. banded_lu and reuse_stall_ratio DO
         // change bits (different elimination order / different refactor
         // schedule) and are keyed.
         const spice::TransientOptions& k = spice_opt.kernel;
@@ -451,12 +450,6 @@ std::uint64_t sweep_fingerprint(const phys::Technology& tech,
             .add(k.reuse_stall_ratio)
             .add(k.bypass_tol_v)
             .add(k.banded_lu)
-            .add(k.adaptive)
-            .add(k.lte_rel_tol)
-            .add(k.dt_min_factor)
-            .add(k.dt_max_factor)
-            .add(k.dt_grow)
-            .add(k.dt_shrink)
             .add(spice_opt.early_exit);
     }
     // The fault policy shapes the values of points that fail, so it is

@@ -905,7 +905,6 @@ ModelPtr Session::model() const {
                  return fixed_leaf(
                      Json(self->spec_.runtime.fast_kernel_enabled()));
              }},
-            {"batch_eval", [k] { return fixed_leaf(Json(k.batch_eval)); }},
             {"simd", [dispatch] {
                  return fixed_leaf(Json(util::simd_level_name(dispatch)));
              }},

@@ -316,9 +316,9 @@ void DeviceBatch::scatter_stamps(std::size_t block, bool want_jac, Matrix& jac,
     double* jd = jac.flat();
     // Per lane, the current flows P -> M with the derivative triplet
     // (dP, dG, dM) wrt the (P, G, M) terminal voltages. The writes land
-    // on exactly the cells, in exactly the order, of the legacy stamp
-    // loop (trash-slot writes stand in for its driven-node branches),
-    // so the assembled matrix is bitwise identical.
+    // on exactly the cells, in exactly the order, of a per-device stamp
+    // walk (trash-slot writes stand in for its driven-node branches),
+    // so the assembled matrix is bitwise that walk's.
     for (std::size_t i = 0; i < n_lanes_; ++i) {
         double d_p, d_g, d_m;
         if (is_pmos_[i]) {

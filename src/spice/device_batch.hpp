@@ -1,10 +1,12 @@
-// spice::DeviceBatch — structure-of-arrays MOSFET population evaluator.
+// spice::DeviceBatch — structure-of-arrays MOSFET population evaluator,
+// and the Simulator's only device evaluator: every solve (DC, transient,
+// recovery-ladder rungs) assembles its MOSFET stamps and meters its
+// supply currents through one.
 //
 // The transient kernel's profile is dominated by per-device work: every
-// Newton iteration walks the netlist's MOSFETs, evaluates (or bypass-
-// restamps) each one, and scatters its stamps through index lookups and
-// driven-node branches. DeviceBatch restructures that walk into columnar
-// lanes so the whole population is processed in one pass:
+// Newton iteration evaluates (or bypass-restamps) each MOSFET and
+// scatters its stamps. DeviceBatch lays that work out in columnar lanes
+// so the whole population is processed in one pass:
 //
 //             lane:      0      1      2      3    ...   M-1
 //   gather    vgs[]   [v(g)-v(s) per device, contiguous       ]
@@ -22,16 +24,16 @@
 //   unit vectorizes only the mask + restamp arithmetic (compiled with
 //   -ffp-contract=off so no FMA fusing changes a rounding), and miss
 //   lanes call the same scalar model evaluation in the same lane order.
-//   The scalar lanes themselves are bitwise-identical to the legacy
-//   eval_mosfet()/phys::evaluate path (same expressions, same
-//   association, per-temperature constants prefolded with the exact
-//   arithmetic evaluate() uses).
+//   The scalar lanes themselves are bitwise-identical to
+//   phys::evaluate (same expressions, same association, per-temperature
+//   constants prefolded with the exact arithmetic evaluate() uses).
 // * scatter writes stamps through a flat offset map built once per
 //   (netlist, unknown numbering): entries addressed to eliminated
 //   (driven) nodes map to trailing trash slots (Matrix::scratch_index,
 //   residual[n]) so the loop carries no per-entry branch, and the
-//   stamp accumulation order matches the legacy assemble loop exactly,
-//   keeping every matrix entry bitwise equal.
+//   stamps accumulate in device order, so every matrix entry is
+//   bitwise the per-device walk's (the DeviceBatchGolden suite pins
+//   solves against bits captured from that walk).
 //
 // Blocks: the batch holds K independent blocks of the same netlist at K
 // temperatures (constants and caches per block). A solo Simulator uses
@@ -113,9 +115,8 @@ void eval_lanes_avx2(const BatchLanes& lanes, bool use_cache, double tol,
 class DeviceBatch {
 public:
     /// Kernel statistics, accumulated into the caller's slot per
-    /// evaluate() call (the Simulator folds them into its Workspace
-    /// stats, so TransientResult counters mean the same thing on the
-    /// batched and legacy paths).
+    /// evaluate() call (the Simulator's TransientResult device counters
+    /// are these).
     struct Stats {
         long bypass_hits = 0;
         long device_evals = 0;
@@ -145,8 +146,7 @@ public:
     /// Evaluates every lane of the block: cache restamp for lanes whose
     /// gathered voltages moved <= tol since their last real evaluation,
     /// the real model for the rest. use_cache = false evaluates every
-    /// lane and leaves the caches untouched (the legacy no-bypass
-    /// semantics).
+    /// lane and leaves the caches untouched (no bypass).
     void evaluate(std::size_t block, bool use_cache, double tol, Stats& stats);
 
     void invalidate_cache(std::size_t block);
@@ -159,7 +159,7 @@ public:
 
     /// Adds every lane's drain current into per-node slots (indexed by
     /// raw NodeId; size = circuit node count), in device order — the
-    /// batched replacement for the per-driven-node metering walk.
+    /// device slice of supply metering.
     void accumulate_currents(std::size_t block,
                              std::span<double> node_currents) const;
 

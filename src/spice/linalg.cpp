@@ -86,7 +86,7 @@ bool solve_core(const Matrix& a, const std::vector<std::size_t>& perm,
 
 } // namespace
 
-bool lu_solve(Matrix& a, std::vector<double>& b, std::vector<double>& x,
+bool lu_solve(Matrix& a, std::span<const double> b, std::vector<double>& x,
               double pivot_tol) {
     const std::size_t n = a.rows();
     if (a.cols() != n || b.size() != n) {

@@ -5,7 +5,7 @@
 // no sparse bookkeeping, cache-friendly, and exactly as accurate.
 //
 // Two entry points share one factorization core:
-//   * lu_solve() — the historical one-shot factor+solve (destroys A/b);
+//   * lu_solve() — the historical one-shot factor+solve (destroys A);
 //   * LuFactors  — a reusable factorization: factor() once, solve() any
 //     number of right-hand sides against it. This is the seam the
 //     transient kernel's modified Newton uses to re-solve across
@@ -164,8 +164,8 @@ private:
 /// In-place LU factorization with partial pivoting; solves A x = b.
 ///
 /// Returns false if the matrix is numerically singular (pivot below
-/// `pivot_tol`); in that case x is unspecified. A and b are destroyed.
-bool lu_solve(Matrix& a, std::vector<double>& b, std::vector<double>& x,
+/// `pivot_tol`); in that case x is unspecified. A is destroyed.
+bool lu_solve(Matrix& a, std::span<const double> b, std::vector<double>& x,
               double pivot_tol = 1e-14);
 
 /// Maximum absolute entry of v (0 for empty v).

@@ -1,42 +1,22 @@
 #include "spice/lockstep.hpp"
 
 #include "exec/fault_injector.hpp"
-#include "exec/metrics.hpp"
 #include "obs/trace.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace stsense::spice {
 
-namespace {
-
-/// Mirror of simulator.cpp's status classification (the enum values are
-/// part of the Simulator's private seam the runner drives).
-SimErrorKind kind_of_status(int status) {
-    switch (status) {
-        case 1: return SimErrorKind::NonConvergence; // NoConverge
-        case 2: return SimErrorKind::SingularMatrix; // Singular
-        case 3: return SimErrorKind::NonFiniteState; // NonFinite
-        case 4: return SimErrorKind::StepLimit;      // IterBudget
-        case 5: return SimErrorKind::DeadlineExceeded; // Deadline
-        default: return SimErrorKind::NonConvergence;
-    }
-}
-
-} // namespace
-
 /// Drives K Simulators through the fixed-step transient loop in phase.
-/// Friend of Simulator: each per-point operation below is the same
-/// private call, in the same order, that Simulator::try_transient and
-/// run_fixed/advance make — parity with solo runs is by construction,
-/// not by re-derivation.
+/// Friend of Simulator: the head, the step bookkeeping, the rescue, the
+/// error and the tail of every point are the Simulator members
+/// try_transient calls, in the same order — parity with solo runs is by
+/// construction, not by re-derivation. Only the Newton loop of a step's
+/// rung-0 attempt is unrolled here, one newton_iteration per round.
 class LockStepRunner {
 public:
     LockStepRunner(const Circuit& circuit, std::span<const SimOptions> options,
@@ -53,33 +33,24 @@ private:
     struct Point {
         std::unique_ptr<Simulator> sim;
         const TransientSpec* spec = nullptr;
+        /// exec::FaultContext index of the point's sabotage draws.
         std::uint64_t ctx = 0;
-        Simulator::Budget budget;
-        TransientResult result;
+        Simulator::TransientRun run;
         std::optional<SimError> error;
-        std::vector<double> volts;
-        std::vector<Simulator::CapState> caps;
-        std::vector<NodeId> probes;
-        long n_steps = 0;
-        long s = 0; ///< Base-step index (run_fixed's loop variable).
+        long s = 0; ///< Base-step index (try_transient's loop variable).
         bool done = false;
         bool in_newton = false; ///< A rung-0 attempt is mid-iteration.
         // In-flight base-attempt state.
-        double t = 0.0;
-        double h = 0.0;
-        Integrator integ = Integrator::Trapezoidal;
+        Simulator::BaseStep step;
         Simulator::Sabotage sab;
         Simulator::NewtonParams base;
         Simulator::NewtonIterState st;
     };
 
-    void setup_point(Point& p, const TransientSpec& spec);
     void begin_step(Point& p);
     void step_iteration(Point& p);
     void finish_attempt(Point& p, NewtonStatus status);
-    void post_step(Point& p);
     void fail(Point& p, NewtonStatus status);
-    void record(Point& p, double t) const;
 
     const Circuit& circuit_;
     std::span<const SimOptions> options_;
@@ -88,116 +59,31 @@ private:
     std::vector<Point> points_;
 };
 
-void LockStepRunner::record(Point& p, double t) const {
-    for (std::size_t i = 0; i < p.probes.size(); ++i) {
-        p.result.traces[i].time.push_back(t);
-        p.result.traces[i].value.push_back(p.volts[p.probes[i].index]);
-    }
-}
-
 void LockStepRunner::fail(Point& p, NewtonStatus status) {
-    SimError e;
-    e.kind = kind_of_status(static_cast<int>(status));
-    e.message = "transient: Newton failed at t = " + std::to_string(p.t);
-    e.time_s = p.t;
-    e.newton_iters = p.result.total_newton_iters;
-    p.error = e;
+    p.error = Simulator::step_failure(status, p.step.t,
+                                      p.run.result.total_newton_iters);
     p.in_newton = false;
     p.done = true;
 }
 
-void LockStepRunner::setup_point(Point& p, const TransientSpec& spec) {
-    // This mirrors the head of Simulator::try_transient, field for
-    // field; argument validation already ran in run().
-    p.budget = p.sim->make_budget();
-
-    p.volts.assign(circuit_.node_count(), 0.0);
-    if (spec.start_from_dc) {
-        // Install point p's fault stream for the draw-making call, as the
-        // solo sweep path's per-point FaultContext would.
-        std::optional<exec::FaultContext> guard;
-        if (!fault_ctx_.empty()) guard.emplace(p.ctx);
-        auto dc = p.sim->dc_ladder(p.budget);
-        if (!dc.ok()) {
-            p.error = dc.error();
-            p.done = true;
-            return;
-        }
-        p.volts = std::move(dc.value());
-    } else {
-        p.sim->set_driven(p.volts, 0.0);
-    }
-    for (const auto& [node, v] : spec.initial_conditions) {
-        p.volts[node.index] = v;
-    }
-
-    p.probes = spec.probes;
-    if (p.probes.empty()) {
-        for (std::size_t i = 0; i < circuit_.node_count(); ++i) {
-            p.probes.push_back(NodeId{static_cast<std::uint32_t>(i)});
-        }
-    }
-
-    if (spec.start_from_dc) {
-        p.result.deepest_rung = p.sim->last_dc_rung_;
-        if (p.sim->last_dc_rung_ != RecoveryRung::None) ++p.result.rescued_steps;
-    }
-    if (spec.measure_power) {
-        p.result.source_energy_j.assign(circuit_.node_count(), 0.0);
-    }
-    p.result.traces.resize(p.probes.size());
-    for (std::size_t i = 0; i < p.probes.size(); ++i) {
-        p.result.traces[i].name = circuit_.node_name(p.probes[i]);
-    }
-
-    p.caps.assign(circuit_.capacitors().size(), Simulator::CapState{});
-    for (std::size_t k = 0; k < p.caps.size(); ++k) {
-        const auto& c = circuit_.capacitors()[k];
-        p.caps[k].v_old = p.volts[c.a.index] - p.volts[c.b.index];
-        p.caps[k].i_old = 0.0;
-    }
-
-    record(p, 0.0);
-
-    // Transient-only counters; no state leaks from the DC start.
-    auto& ws = p.sim->ws_;
-    ws.reset_stats();
-    p.sim->invalidate_factors();
-    for (auto& c : ws.mos) c.valid = false;
-    ws.batch->invalidate_cache(p.sim->batch_block_);
-
-    p.n_steps = static_cast<long>(std::ceil(spec.t_stop / spec.dt - 1e-9));
-    if (p.n_steps <= 0) p.done = true;
-}
-
 void LockStepRunner::begin_step(Point& p) {
-    const TransientSpec& spec = *p.spec;
-    p.t = static_cast<double>(p.s) * spec.dt;
-    p.h = std::min(spec.dt, spec.t_stop - p.t);
-    p.integ =
-        p.s == 0 ? Integrator::BackwardEuler : p.sim->options_.integrator;
+    Simulator& sim = *p.sim;
+    p.step = sim.base_step(*p.spec, p.s);
     {
-        std::optional<exec::FaultContext> guard;
-        if (!fault_ctx_.empty()) guard.emplace(p.ctx);
-        p.sab = p.sim->next_sabotage();
+        const exec::FaultContext guard(p.ctx);
+        p.sab = sim.next_sabotage();
     }
 
     // Simulator::advance's rung-0 head.
-    if (p.budget.steps_left == 0) {
+    if (!sim.load_trial(p.run.volts, p.run.caps, p.step.t, p.step.h,
+                        p.run.budget)) {
         fail(p, NewtonStatus::IterBudget);
         return;
     }
-    if (p.budget.steps_left > 0) --p.budget.steps_left;
-    auto& ws = p.sim->ws_;
-    ws.trial_volts = p.volts;
-    ws.trial_caps = p.caps;
-    p.sim->set_driven(ws.trial_volts, p.t + p.h);
-    p.base = Simulator::NewtonParams{p.sim->options_.max_newton_iters,
-                                     p.sim->options_.v_step_limit,
-                                     p.sim->options_.gmin, 0, true};
-    p.st = p.sim->make_iter_state(p.base, &ws.trial_caps);
+    p.base = sim.base_params();
+    p.st = sim.make_iter_state(p.base, &sim.ws_.trial_caps);
     p.in_newton = true;
-    if (p.sab.newton && p.base.rung_index < p.sab.rungs) {
+    if (p.sab.fails(p.base.rung_index)) {
         // solve_newton's injected-failure gate, before any iteration.
         finish_attempt(p, NewtonStatus::NoConverge);
     }
@@ -206,8 +92,8 @@ void LockStepRunner::begin_step(Point& p) {
 void LockStepRunner::step_iteration(Point& p) {
     auto& ws = p.sim->ws_;
     const NewtonStatus s = p.sim->newton_iteration(
-        ws.trial_volts, p.h, &ws.trial_caps, p.integ, p.base, p.budget, p.sab,
-        p.result.total_newton_iters, p.st);
+        ws.trial_volts, p.step.h, &ws.trial_caps, p.step.integ, p.base,
+        p.run.budget, p.sab, p.run.result.total_newton_iters, p.st);
     if (s == NewtonStatus::Running) {
         if (p.st.it >= p.base.max_iters) {
             finish_attempt(p, NewtonStatus::NoConverge);
@@ -219,50 +105,22 @@ void LockStepRunner::step_iteration(Point& p) {
 
 void LockStepRunner::finish_attempt(Point& p, NewtonStatus status) {
     p.in_newton = false;
-    auto& ws = p.sim->ws_;
-    if (status == NewtonStatus::Converged) {
-        p.sim->commit_step(p.volts, p.caps, ws.trial_volts, ws.trial_caps,
-                           p.h, p.integ, p.result);
-        post_step(p);
-        return;
-    }
-    if (status == NewtonStatus::IterBudget ||
-        status == NewtonStatus::Deadline) {
-        fail(p, status);
-        return;
-    }
-    // The solo rescue (halving + damped/gmin rungs) runs to completion
-    // inline — it is the rare path, and phase-sharing it would change
-    // nothing: every call below is per-point private state.
-    NewtonStatus rescued;
+    // advance()'s tail: commit, stop, or the solo rescue (halving +
+    // damped/gmin rungs) run to completion inline — it is the rare path,
+    // and every call in it touches only this point's state.
+    NewtonStatus settled;
     {
-        std::optional<exec::FaultContext> guard;
-        if (!fault_ctx_.empty()) guard.emplace(p.ctx);
-        rescued = p.sim->rescue_failed_step(p.volts, p.caps, p.t, p.h, 0,
-                                            p.integ, p.sab, p.budget,
-                                            p.result, status);
+        const exec::FaultContext guard(p.ctx);
+        settled = p.sim->settle_step(status, p.run.volts, p.run.caps,
+                                     p.step.t, p.step.h, 0, p.step.integ,
+                                     p.sab, p.run.budget, p.run.result);
     }
-    if (rescued == NewtonStatus::Converged) {
-        post_step(p);
+    if (settled != NewtonStatus::Converged) {
+        fail(p, settled);
         return;
     }
-    fail(p, rescued);
-}
-
-void LockStepRunner::post_step(Point& p) {
-    const TransientSpec& spec = *p.spec;
-    p.result.t_end = p.t + p.h;
-    const bool stop = spec.stop_when && spec.stop_when(p.t + p.h, p.volts);
-    if ((p.s + 1) % spec.record_stride == 0 || p.s + 1 == p.n_steps || stop) {
-        record(p, p.t + p.h);
-    }
-    if (stop) {
-        p.result.early_exit = true;
-        p.done = true;
-        return;
-    }
+    p.done = p.sim->end_step(*p.spec, p.run, p.s, p.step);
     ++p.s;
-    if (p.s >= p.n_steps) p.done = true;
 }
 
 std::vector<Result<TransientResult>> LockStepRunner::run() {
@@ -275,30 +133,8 @@ std::vector<Result<TransientResult>> LockStepRunner::run() {
         throw std::invalid_argument(
             "run_lockstep: fault_ctx must be empty or match the point count");
     }
-    for (std::size_t p = 0; p < k; ++p) {
-        const TransientSpec& spec = specs_[p];
-        if (options_[p].kernel.adaptive) {
-            throw std::invalid_argument(
-                "run_lockstep: adaptive stepping has no common phase "
-                "(kernel.adaptive must be off)");
-        }
-        if (spec.t_stop <= 0.0 || spec.dt <= 0.0) {
-            throw std::invalid_argument("transient: t_stop and dt must be > 0");
-        }
-        if (spec.record_stride < 1) {
-            throw std::invalid_argument("transient: record_stride must be >= 1");
-        }
-        for (const auto& [node, v] : spec.initial_conditions) {
-            (void)v;
-            if (node.index >= circuit_.node_count()) {
-                throw std::invalid_argument(
-                    "transient: initial-condition node out of range");
-            }
-            if (circuit_.is_driven(node)) {
-                throw std::invalid_argument(
-                    "transient: cannot set IC on driven node");
-            }
-        }
+    for (const TransientSpec& spec : specs_) {
+        Simulator::validate_spec(circuit_, spec);
     }
 
     obs::Span span("spice.transient.lockstep");
@@ -316,8 +152,13 @@ std::vector<Result<TransientResult>> LockStepRunner::run() {
         Point& pt = points_[p];
         pt.sim.reset(new Simulator(circuit_, options_[p], batch, p));
         pt.spec = &specs_[p];
-        if (!fault_ctx_.empty()) pt.ctx = fault_ctx_[p];
-        setup_point(pt, specs_[p]);
+        // Point p draws from its own fault stream, as the solo sweep
+        // path's per-point FaultContext would; without one, from the
+        // ambient stream.
+        pt.ctx = fault_ctx_.empty() ? exec::FaultContext::current() : fault_ctx_[p];
+        const exec::FaultContext guard(pt.ctx);
+        pt.error = pt.sim->start_transient(*pt.spec, pt.run);
+        pt.done = pt.error.has_value() || pt.run.n_steps <= 0;
     }
 
     // The phase loop: one Newton iteration per active point per round.
@@ -332,49 +173,10 @@ std::vector<Result<TransientResult>> LockStepRunner::run() {
         if (!any) break;
     }
 
-    // Per-point tail of try_transient: harvest + metrics.
     std::vector<Result<TransientResult>> out;
     out.reserve(k);
-    auto& metrics = exec::MetricsRegistry::global();
     for (auto& pt : points_) {
-        auto& ws = pt.sim->ws_;
-        pt.result.lu_refactors = ws.lu_refactors;
-        pt.result.lu_reuses = ws.lu_reuses;
-        pt.result.bypass_hits = ws.bypass_hits + ws.batch_stats.bypass_hits;
-        pt.result.device_evals = ws.device_evals + ws.batch_stats.device_evals;
-        pt.result.steps_rejected = ws.steps_rejected;
-        pt.result.batch_lanes = ws.batch_stats.batch_lanes;
-        pt.result.simd_groups = ws.batch_stats.simd_groups;
-        pt.result.banded_factors = ws.banded_factors;
-        if (pt.error) {
-            out.push_back(*pt.error);
-            continue;
-        }
-        if (pt.result.lu_refactors > 0) {
-            metrics.counter("spice.newton.refactor")
-                .add(static_cast<std::uint64_t>(pt.result.lu_refactors));
-        }
-        if (pt.result.lu_reuses > 0) {
-            metrics.counter("spice.newton.reuse")
-                .add(static_cast<std::uint64_t>(pt.result.lu_reuses));
-        }
-        if (pt.result.bypass_hits > 0) {
-            metrics.counter("spice.eval.bypass_hits")
-                .add(static_cast<std::uint64_t>(pt.result.bypass_hits));
-        }
-        if (pt.result.batch_lanes > 0) {
-            metrics.counter("spice.eval.batch_lanes")
-                .add(static_cast<std::uint64_t>(pt.result.batch_lanes));
-        }
-        if (pt.result.simd_groups > 0) {
-            metrics.counter("spice.eval.simd_groups")
-                .add(static_cast<std::uint64_t>(pt.result.simd_groups));
-        }
-        if (pt.result.banded_factors > 0) {
-            metrics.counter("spice.lu.banded_factors")
-                .add(static_cast<std::uint64_t>(pt.result.banded_factors));
-        }
-        out.push_back(std::move(pt.result));
+        out.push_back(pt.sim->finish_transient(pt.run, std::move(pt.error)));
     }
     return out;
 }

@@ -7,18 +7,18 @@
 // lanes (one block per point, contiguous), and the driver round-robins
 // exactly one Newton iteration per active point per round through the
 // Simulator's newton_iteration seam — the same calls, in the same
-// per-point order, a solo Simulator::try_transient makes. Per-point
-// state (workspace, factorizations, bypass caches, fault streams,
-// budgets) is fully private to that point's Simulator, so every
-// result is bitwise identical to running the points one at a time
-// (the lock-step parity suite gates this, including under injected
-// Newton-failure rungs).
+// per-point order, a solo Simulator::try_transient makes. Each point
+// starts, fails and finishes through the Simulator members a solo run
+// uses (the transient head and tail, the step failure and its error
+// kind). Per-point state (workspace, factorizations, bypass caches,
+// fault streams, budgets) is fully private to that point's Simulator,
+// so every result is bitwise identical to running the points one at a
+// time (the lock-step parity suite gates this, including under
+// injected Newton-failure rungs and cancellation).
 //
-// Scope: fixed-step transients only (kernel.adaptive must be off —
-// adaptive points reject/grow steps independently and have no common
-// phase to share). A point whose attempt fails leaves the phase loop
-// and runs the standard rescue (halving + ladder) to completion inline,
-// exactly as the solo engine would, then rejoins at its next step.
+// A point whose attempt fails leaves the phase loop and runs the
+// standard rescue (halving + ladder) to completion inline, exactly as
+// the solo engine would, then rejoins at its next step.
 #pragma once
 
 #include "spice/netlist.hpp"
@@ -35,8 +35,7 @@ namespace stsense::spice {
 /// evaluator, lock-stepping the points' Newton iterations. Returns one
 /// Result per point, in order.
 ///
-/// * options/specs must be the same non-zero length; every
-///   options[p].kernel.adaptive must be false.
+/// * options/specs must be the same non-zero length.
 /// * fault_ctx (optional, same length) is the exec::FaultContext value
 ///   installed around point p's injected-sabotage draws — pass the same
 ///   per-point stream ids the equivalent solo sweep would use so an

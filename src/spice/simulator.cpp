@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -44,7 +45,11 @@ const Trace& TransientResult::trace(const std::string& node_name) const {
 }
 
 Simulator::Simulator(const Circuit& circuit, SimOptions options)
-    : circuit_(circuit), options_(options) {
+    : Simulator(circuit, std::move(options), nullptr, 0) {}
+
+Simulator::Simulator(const Circuit& circuit, SimOptions options,
+                     std::shared_ptr<DeviceBatch> batch, std::size_t block)
+    : circuit_(circuit), options_(std::move(options)) {
     if (options_.temp_k <= 0.0) throw std::invalid_argument("Simulator: temp_k must be > 0");
     if (options_.gmin < 0.0) throw std::invalid_argument("Simulator: gmin must be >= 0");
 
@@ -60,24 +65,6 @@ Simulator::Simulator(const Circuit& circuit, SimOptions options)
     }
     if (k.lockstep_width < 1) {
         throw std::invalid_argument("Simulator: kernel.lockstep_width must be >= 1");
-    }
-    if (k.adaptive) {
-        if (k.lte_rel_tol <= 0.0) {
-            throw std::invalid_argument("Simulator: kernel.lte_rel_tol must be > 0");
-        }
-        if (k.dt_min_factor <= 0.0 || k.dt_min_factor > 1.0) {
-            throw std::invalid_argument(
-                "Simulator: kernel.dt_min_factor must be in (0, 1]");
-        }
-        if (k.dt_max_factor < 1.0) {
-            throw std::invalid_argument("Simulator: kernel.dt_max_factor must be >= 1");
-        }
-        if (k.dt_grow < 1.0) {
-            throw std::invalid_argument("Simulator: kernel.dt_grow must be >= 1");
-        }
-        if (k.dt_shrink <= 0.0 || k.dt_shrink >= 1.0) {
-            throw std::invalid_argument("Simulator: kernel.dt_shrink must be in (0, 1)");
-        }
     }
 
     unknown_index_.assign(circuit_.node_count(), -1);
@@ -100,42 +87,26 @@ Simulator::Simulator(const Circuit& circuit, SimOptions options)
                               unknown_index_[c.b.index], c.farads});
     }
 
+    if (batch == nullptr) {
+        const double temp = options_.temp_k;
+        batch = std::make_shared<DeviceBatch>(
+            circuit_, std::span<const double>(&temp, 1), options_.kernel.simd);
+        block = 0;
+    } else if (block >= batch->blocks()) {
+        throw std::invalid_argument("Simulator: bad shared DeviceBatch/block");
+    }
+    if (!batch->has_scatter()) batch->build_scatter(unknown_index_, n_unknowns_);
+    ws_.batch = std::move(batch);
+    batch_block_ = block;
+
     // Size the workspace once: the solver's steady state reuses these
     // buffers and never touches the heap again.
     ws_.jac.resize(n_unknowns_, n_unknowns_);
-    ws_.residual.assign(n_unknowns_, 0.0);
+    ws_.residual.assign(n_unknowns_ + 1, 0.0);
     ws_.delta.reserve(n_unknowns_);
     ws_.trial_volts.reserve(circuit_.node_count());
-    ws_.save_volts.reserve(circuit_.node_count());
-    ws_.prev_volts.reserve(circuit_.node_count());
-    ws_.save_energy.reserve(circuit_.node_count());
     ws_.trial_caps.reserve(circuit_.capacitors().size());
-    ws_.save_caps.reserve(circuit_.capacitors().size());
-    ws_.mos.assign(circuit_.mosfets().size(), MosBypass{});
-
-    if (options_.kernel.batch_eval) {
-        const double temp = options_.temp_k;
-        ws_.batch = std::make_shared<DeviceBatch>(
-            circuit_, std::span<const double>(&temp, 1), options_.kernel.simd);
-        ws_.batch->build_scatter(unknown_index_, n_unknowns_);
-        ws_.residual_b.assign(n_unknowns_ + 1, 0.0);
-        ws_.node_currents.reserve(circuit_.node_count());
-    }
-}
-
-Simulator::Simulator(const Circuit& circuit, SimOptions options,
-                     std::shared_ptr<DeviceBatch> batch, std::size_t block)
-    : Simulator(circuit, std::move(options)) {
-    if (batch == nullptr || block >= batch->blocks()) {
-        throw std::invalid_argument("Simulator: bad shared DeviceBatch/block");
-    }
-    if (!batch->has_scatter()) {
-        batch->build_scatter(unknown_index_, n_unknowns_);
-    }
-    ws_.batch = std::move(batch);
-    ws_.residual_b.assign(n_unknowns_ + 1, 0.0);
     ws_.node_currents.reserve(circuit_.node_count());
-    batch_block_ = block;
 }
 
 void Simulator::set_driven(std::vector<double>& volts, double t,
@@ -145,37 +116,18 @@ void Simulator::set_driven(std::vector<double>& volts, double t,
     }
 }
 
-phys::MosEval Simulator::eval_mosfet(std::size_t k, const Mosfet& m, double vgs,
-                                     double vds, bool use_bypass) const {
-    if (use_bypass) {
-        MosBypass& c = ws_.mos[k];
-        const double tol = options_.kernel.bypass_tol_v;
-        if (c.valid && std::abs(vgs - c.vgs) <= tol && std::abs(vds - c.vds) <= tol) {
-            // Restamp the cached linearization: first-order extrapolation
-            // of the current, conductances held. Error is O(tol^2) times
-            // the I-V curvature — far below the period accuracy gates.
-            ++ws_.bypass_hits;
-            phys::MosEval e = c.eval;
-            e.id = c.eval.id + c.eval.gm * (vgs - c.vgs) + c.eval.gds * (vds - c.vds);
-            return e;
-        }
-        const phys::MosEval e =
-            phys::evaluate(m.params, m.geometry, vgs, vds, options_.temp_k);
-        ++ws_.device_evals;
-        c.valid = true;
-        c.vgs = vgs;
-        c.vds = vds;
-        c.eval = e;
-        return e;
-    }
-    ++ws_.device_evals;
-    return phys::evaluate(m.params, m.geometry, vgs, vds, options_.temp_k);
-}
+void Simulator::assemble(const std::vector<double>& volts, double h,
+                         const std::vector<CapState>* caps, Integrator integ,
+                         double gmin, bool want_jac, bool use_bypass) const {
+    // Element order — resistors, capacitors, devices, gmin shunts — and
+    // each cell's accumulation order are the historical engine's, so
+    // every residual/Jacobian entry is the same double. Only the device
+    // stamps can address a driven node; they land in the trash slots.
+    Matrix& jac = ws_.jac;
+    std::vector<double>& residual = ws_.residual;
+    if (want_jac) jac.clear();
+    std::fill(residual.begin(), residual.end(), 0.0);
 
-void Simulator::stamp_linear(const std::vector<double>& volts, double h,
-                             const std::vector<CapState>* caps,
-                             Integrator integ, bool want_jac, Matrix& jac,
-                             std::span<double> residual) const {
     // current `i` flows a -> b with conductances (di/dva, di/dvb). The
     // element's unknown slots come precomputed from the constructor.
     auto stamp_branch = [&](const LinElem& e, double i, double di_dva,
@@ -226,11 +178,13 @@ void Simulator::stamp_linear(const std::vector<double>& volts, double h,
             stamp_branch(e, i, geq, -geq);
         }
     }
-}
 
-void Simulator::stamp_gmin(const std::vector<double>& volts, double gmin,
-                           bool want_jac, Matrix& jac,
-                           std::span<double> residual) const {
+    DeviceBatch& batch = *ws_.batch;
+    batch.gather(batch_block_, volts);
+    batch.evaluate(batch_block_, use_bypass, options_.kernel.bypass_tol_v,
+                   ws_.batch_stats);
+    batch.scatter_stamps(batch_block_, want_jac, jac, residual);
+
     // gmin shunts keep otherwise floating nodes well-conditioned. The
     // unknown slot of unknown_nodes_[u] is u (both are assigned in
     // ascending node order).
@@ -242,116 +196,16 @@ void Simulator::stamp_gmin(const std::vector<double>& volts, double gmin,
     }
 }
 
-void Simulator::assemble(const std::vector<double>& volts, double h,
-                         const std::vector<CapState>* caps, Integrator integ,
-                         double gmin, bool want_jac, bool use_bypass,
-                         Matrix& jac, std::vector<double>& residual) const {
-    if (want_jac) jac.clear();
-    std::fill(residual.begin(), residual.end(), 0.0);
-
-    stamp_linear(volts, h, caps, integ, want_jac, jac, residual);
-
-    auto idx = [&](NodeId n) { return unknown_index_[n.index]; };
-
-    for (std::size_t k = 0; k < circuit_.mosfets().size(); ++k) {
-        const auto& m = circuit_.mosfets()[k];
-        const double vd = volts[m.drain.index];
-        const double vg = volts[m.gate.index];
-        const double vs = volts[m.source.index];
-        if (m.params.type == phys::MosType::Nmos) {
-            const phys::MosEval e =
-                eval_mosfet(k, m, vg - vs, vd - vs, use_bypass);
-            // Current e.id flows drain -> source.
-            // di/dvd = gds, di/dvg = gm, di/dvs = -(gm + gds).
-            const int id_ = idx(m.drain);
-            const int is_ = idx(m.source);
-            const int ig_ = idx(m.gate);
-            if (id_ >= 0) {
-                residual[static_cast<std::size_t>(id_)] += e.id;
-                if (want_jac) {
-                    jac.at(static_cast<std::size_t>(id_), static_cast<std::size_t>(id_)) += e.gds;
-                    if (ig_ >= 0) jac.at(static_cast<std::size_t>(id_), static_cast<std::size_t>(ig_)) += e.gm;
-                    if (is_ >= 0) jac.at(static_cast<std::size_t>(id_), static_cast<std::size_t>(is_)) -= e.gm + e.gds;
-                }
-            }
-            if (is_ >= 0) {
-                residual[static_cast<std::size_t>(is_)] -= e.id;
-                if (want_jac) {
-                    jac.at(static_cast<std::size_t>(is_), static_cast<std::size_t>(is_)) += e.gm + e.gds;
-                    if (ig_ >= 0) jac.at(static_cast<std::size_t>(is_), static_cast<std::size_t>(ig_)) -= e.gm;
-                    if (id_ >= 0) jac.at(static_cast<std::size_t>(is_), static_cast<std::size_t>(id_)) -= e.gds;
-                }
-            }
-        } else {
-            // PMOS: magnitudes vsg = vs - vg, vsd = vs - vd; current flows
-            // source -> drain while conducting.
-            const phys::MosEval e =
-                eval_mosfet(k, m, vs - vg, vs - vd, use_bypass);
-            // i (source->drain): di/dvs = gm + gds, di/dvg = -gm, di/dvd = -gds.
-            const int id_ = idx(m.drain);
-            const int is_ = idx(m.source);
-            const int ig_ = idx(m.gate);
-            if (is_ >= 0) {
-                residual[static_cast<std::size_t>(is_)] += e.id;
-                if (want_jac) {
-                    jac.at(static_cast<std::size_t>(is_), static_cast<std::size_t>(is_)) += e.gm + e.gds;
-                    if (ig_ >= 0) jac.at(static_cast<std::size_t>(is_), static_cast<std::size_t>(ig_)) -= e.gm;
-                    if (id_ >= 0) jac.at(static_cast<std::size_t>(is_), static_cast<std::size_t>(id_)) -= e.gds;
-                }
-            }
-            if (id_ >= 0) {
-                residual[static_cast<std::size_t>(id_)] -= e.id;
-                if (want_jac) {
-                    jac.at(static_cast<std::size_t>(id_), static_cast<std::size_t>(id_)) += e.gds;
-                    if (ig_ >= 0) jac.at(static_cast<std::size_t>(id_), static_cast<std::size_t>(ig_)) += e.gm;
-                    if (is_ >= 0) jac.at(static_cast<std::size_t>(id_), static_cast<std::size_t>(is_)) -= e.gm + e.gds;
-                }
-            }
-        }
-    }
-
-    stamp_gmin(volts, gmin, want_jac, jac, residual);
-}
-
-void Simulator::assemble_batched(const std::vector<double>& volts, double h,
-                                 const std::vector<CapState>* caps,
-                                 Integrator integ, double gmin, bool want_jac,
-                                 bool use_bypass, Matrix& jac) const {
-    // Same element order as assemble() — resistors, capacitors, devices,
-    // gmin shunts — so every residual/Jacobian cell accumulates its
-    // contributions in the legacy order (bitwise-identical sums). The
-    // residual is the trash-padded ws_.residual_b; the linear/gmin
-    // slices only ever touch its first n_unknowns entries.
-    std::vector<double>& residual = ws_.residual_b;
-    if (want_jac) jac.clear();
-    std::fill(residual.begin(), residual.end(), 0.0);
-
-    stamp_linear(volts, h, caps, integ, want_jac, jac,
-                 {residual.data(), n_unknowns_});
-
-    DeviceBatch& batch = *ws_.batch;
-    batch.gather(batch_block_, volts);
-    batch.evaluate(batch_block_, use_bypass, options_.kernel.bypass_tol_v,
-                   ws_.batch_stats);
-    batch.scatter_stamps(batch_block_, want_jac, jac, residual);
-
-    stamp_gmin(volts, gmin, want_jac, jac, {residual.data(), n_unknowns_});
-}
-
 Simulator::NewtonIterState Simulator::make_iter_state(
     const NewtonParams& params, const std::vector<CapState>* caps) const {
     // The fast shortcuts apply only to rung-0 transient attempts: DC
     // solves and the recovery-ladder rungs always run the classic
     // factor-every-iteration, evaluate-every-device path.
+    const bool fast = params.allow_fast && caps != nullptr;
     NewtonIterState st;
-    st.fast_reuse =
-        params.allow_fast && options_.kernel.reuse_lu && caps != nullptr;
-    st.use_bypass = params.allow_fast && caps != nullptr &&
-                    options_.kernel.bypass_tol_v > 0.0;
-    st.use_batch = params.allow_fast && caps != nullptr &&
-                   ws_.batch != nullptr && ws_.batch->has_scatter();
-    st.banded =
-        params.allow_fast && options_.kernel.banded_lu && caps != nullptr;
+    st.fast_reuse = fast && options_.kernel.reuse_lu;
+    st.use_bypass = fast && options_.kernel.bypass_tol_v > 0.0;
+    st.banded = fast && options_.kernel.banded_lu;
     return st;
 }
 
@@ -381,6 +235,8 @@ Simulator::NewtonStatus Simulator::newton_iteration(
 
     Matrix& jac = ws_.jac;
     std::vector<double>& delta = ws_.delta;
+    // The residual's first n_unknowns entries (the rest is trash).
+    const std::span<double> rhs(ws_.residual.data(), n_unknowns_);
 
     bool just_factored = false;
     const bool factor_valid =
@@ -394,16 +250,8 @@ Simulator::NewtonStatus Simulator::newton_iteration(
         OBS_SPAN("spice.newton.reuse");
         // Modified Newton: residual-only assembly, re-solve against
         // the kept factorization.
-        std::span<double> rhs;
-        if (st.use_batch) {
-            assemble_batched(volts, h, caps, integ, params.gmin,
-                             /*want_jac=*/false, st.use_bypass, jac);
-            rhs = {ws_.residual_b.data(), n_unknowns_};
-        } else {
-            assemble(volts, h, caps, integ, params.gmin, /*want_jac=*/false,
-                     st.use_bypass, jac, ws_.residual);
-            rhs = {ws_.residual.data(), n_unknowns_};
-        }
+        assemble(volts, h, caps, integ, params.gmin, /*want_jac=*/false,
+                 st.use_bypass);
         for (double& r : rhs) r = -r;
         const bool ok = ws_.banded_active ? ws_.blu.solve(rhs, delta)
                                           : ws_.lu.solve(rhs, delta);
@@ -412,19 +260,11 @@ Simulator::NewtonStatus Simulator::newton_iteration(
         ++st.reuse_run;
     } else {
         OBS_SPAN("spice.newton.refactor");
-        std::span<double> rhs;
-        if (st.use_batch) {
-            assemble_batched(volts, h, caps, integ, params.gmin,
-                             /*want_jac=*/true, st.use_bypass, jac);
-            rhs = {ws_.residual_b.data(), n_unknowns_};
-        } else {
-            assemble(volts, h, caps, integ, params.gmin, /*want_jac=*/true,
-                     st.use_bypass, jac, ws_.residual);
-            rhs = {ws_.residual.data(), n_unknowns_};
-        }
+        assemble(volts, h, caps, integ, params.gmin, /*want_jac=*/true,
+                 st.use_bypass);
         // Solve J * delta = -F.
         for (double& r : rhs) r = -r;
-        if (st.fast_reuse || st.use_batch || st.banded) {
+        if (st.fast_reuse || st.banded) {
             // Retained-factor path. For the dense factors this is
             // bitwise equal to the one-shot lu_solve (see LuFactors);
             // the banded factors are the documented non-bitwise opt-in.
@@ -458,7 +298,9 @@ Simulator::NewtonStatus Simulator::newton_iteration(
                                         : ws_.lu.solve(rhs, delta);
             if (!ok) return NewtonStatus::Singular;
         } else {
-            if (!lu_solve(jac, ws_.residual, delta)) return NewtonStatus::Singular;
+            // One-shot solve: no factorization outlives the iteration, so
+            // a later fast attempt can never reuse a ladder rung's.
+            if (!lu_solve(jac, rhs, delta)) return NewtonStatus::Singular;
         }
         ++ws_.lu_refactors;
         just_factored = true;
@@ -504,7 +346,7 @@ Simulator::NewtonStatus Simulator::solve_newton(
     std::vector<double>& volts, double h, const std::vector<CapState>* caps,
     Integrator integ, const NewtonParams& params, Budget& budget,
     const Sabotage& sab, long& iters) const {
-    if (sab.newton && params.rung_index < sab.rungs) {
+    if (sab.fails(params.rung_index)) {
         return NewtonStatus::NoConverge; // Injected convergence failure.
     }
 
@@ -514,7 +356,7 @@ Simulator::NewtonStatus Simulator::solve_newton(
     span.tag("kernel", st.fast_reuse
                            ? (st.use_bypass ? "reuse+bypass" : "reuse")
                            : (st.use_bypass ? "bypass" : "classic"));
-    if (st.use_batch) {
+    if (st.use_bypass) {
         span.tag("eval", util::simd_level_name(ws_.batch->level()));
     }
     if (st.banded) {
@@ -529,21 +371,16 @@ Simulator::NewtonStatus Simulator::solve_newton(
     return NewtonStatus::NoConverge;
 }
 
-namespace {
-
-SimErrorKind kind_of_status(int status) {
-    switch (status) {
-        case 1: return SimErrorKind::NonConvergence; // NoConverge
-        case 2: return SimErrorKind::SingularMatrix; // Singular
-        case 3: return SimErrorKind::NonFiniteState; // NonFinite
-        case 4: return SimErrorKind::StepLimit;      // IterBudget
-        case 5: return SimErrorKind::DeadlineExceeded; // Deadline
-        case 6: return SimErrorKind::Cancelled;      // Cancelled
+SimErrorKind Simulator::error_kind(NewtonStatus s) {
+    switch (s) {
+        case NewtonStatus::Singular: return SimErrorKind::SingularMatrix;
+        case NewtonStatus::NonFinite: return SimErrorKind::NonFiniteState;
+        case NewtonStatus::IterBudget: return SimErrorKind::StepLimit;
+        case NewtonStatus::Deadline: return SimErrorKind::DeadlineExceeded;
+        case NewtonStatus::Cancelled: return SimErrorKind::Cancelled;
         default: return SimErrorKind::NonConvergence;
     }
 }
-
-} // namespace
 
 Simulator::Sabotage Simulator::next_sabotage() {
     const long event = fault_event_seq_++;
@@ -593,14 +430,10 @@ Result<std::vector<double>> Simulator::dc_ladder(Budget& budget) {
 
     auto fail = [&](NewtonStatus status) -> SimError {
         SimError e;
-        e.kind = kind_of_status(static_cast<int>(status));
+        e.kind = error_kind(status);
         e.message = "dc_operating_point: Newton failed to converge";
         e.newton_iters = iters;
         return e;
-    };
-    auto is_budget = [](NewtonStatus s) {
-        return s == NewtonStatus::IterBudget || s == NewtonStatus::Deadline ||
-               s == NewtonStatus::Cancelled;
     };
 
     const NewtonParams base{options_.max_newton_iters, options_.v_step_limit,
@@ -616,7 +449,7 @@ Result<std::vector<double>> Simulator::dc_ladder(Budget& budget) {
         span.tag("rung", "none");
         return volts;
     }
-    if (is_budget(status)) return fail(status);
+    if (must_stop(status)) return fail(status);
 
     // Rung 0b: retry from a mid-rail guess — helps bistable/metastable
     // circuits (legacy behavior, still the plain rung).
@@ -638,7 +471,7 @@ Result<std::vector<double>> Simulator::dc_ladder(Budget& budget) {
         span.tag("rung", "none");
         return volts;
     }
-    if (is_budget(status)) return fail(status);
+    if (must_stop(status)) return fail(status);
     const NewtonStatus base_status = status;
 
     if (!options_.enable_recovery) return fail(base_status);
@@ -654,7 +487,7 @@ Result<std::vector<double>> Simulator::dc_ladder(Budget& budget) {
         span.tag("rung", "damped");
         return volts;
     }
-    if (is_budget(status)) return fail(status);
+    if (must_stop(status)) return fail(status);
 
     // Rung 2: gmin stepping — solve a heavily shunted (well-conditioned)
     // circuit first, then ride the solution as the shunt relaxes back to
@@ -678,7 +511,7 @@ Result<std::vector<double>> Simulator::dc_ladder(Budget& budget) {
         span.tag("rung", "gmin");
         return volts;
     }
-    if (is_budget(status)) return fail(status);
+    if (must_stop(status)) return fail(status);
 
     // Rung 3: source stepping — ramp every source from 0 to full scale,
     // tracking the solution branch from the trivial all-zero circuit.
@@ -701,7 +534,7 @@ Result<std::vector<double>> Simulator::dc_ladder(Budget& budget) {
         span.tag("rung", "source");
         return volts;
     }
-    if (is_budget(status)) return fail(status);
+    if (must_stop(status)) return fail(status);
 
     return fail(base_status);
 }
@@ -740,25 +573,27 @@ void Simulator::commit_step(std::vector<double>& volts,
     if (!result.source_energy_j.empty()) {
         // Supply metering: energy = v * i_delivered * h per source,
         // with the end-of-step current (rectangle rule).
-        const bool bypass = options_.kernel.bypass_tol_v > 0.0;
-        if (ws_.batch != nullptr) {
-            // One device-population pass for every source instead of one
-            // full netlist walk per driven node (bitwise-identical
-            // energies; see meter_sources_batched).
-            meter_sources_batched(trial, h, &trial_caps, integ, bypass, result);
-        } else {
-            for (std::size_t i = 0; i < circuit_.node_count(); ++i) {
-                const NodeId n{static_cast<std::uint32_t>(i)};
-                if (!circuit_.is_driven(n)) continue;
-                const double cur = injected_current(n, trial, h, &trial_caps, integ, bypass);
-                result.source_energy_j[i] += trial[i] * cur * h;
-            }
-        }
+        meter_sources(trial, h, &trial_caps, integ,
+                      options_.kernel.bypass_tol_v > 0.0, result);
     }
     update_cap_state(trial, h, integ, trial_caps);
     volts.swap(trial);
     caps.swap(trial_caps);
     ++result.steps_taken;
+}
+
+bool Simulator::load_trial(const std::vector<double>& volts,
+                           const std::vector<CapState>& caps, double t,
+                           double h, Budget& budget) const {
+    if (budget.steps_left == 0) return false;
+    if (budget.steps_left > 0) --budget.steps_left;
+    // The workspace trial buffers are shared across the recursion: every
+    // use (base attempt, halved sub-steps, ladder rungs) re-copies the
+    // committed state first, so reuse is safe and allocation-free.
+    ws_.trial_volts = volts;
+    ws_.trial_caps = caps;
+    set_driven(ws_.trial_volts, t + h);
+    return true;
 }
 
 Simulator::NewtonStatus Simulator::advance(std::vector<double>& volts,
@@ -767,39 +602,26 @@ Simulator::NewtonStatus Simulator::advance(std::vector<double>& volts,
                                            Integrator integ,
                                            const Sabotage& sab, Budget& budget,
                                            TransientResult& result) const {
-    if (budget.steps_left == 0) return NewtonStatus::IterBudget;
-    if (budget.steps_left > 0) --budget.steps_left;
-
-    // The workspace trial buffers are shared across the recursion: every
-    // use (base attempt, halved sub-steps, ladder rungs) re-copies the
-    // committed state first, so reuse is safe and allocation-free.
-    std::vector<double>& trial = ws_.trial_volts;
-    std::vector<CapState>& trial_caps = ws_.trial_caps;
-    trial = volts;
-    trial_caps = caps;
-    set_driven(trial, t + h);
-    const NewtonParams base{options_.max_newton_iters, options_.v_step_limit,
-                            options_.gmin, 0, true};
-    NewtonStatus status = solve_newton(trial, h, &trial_caps, integ, base,
-                                       budget, sab, result.total_newton_iters);
-    if (status == NewtonStatus::Converged) {
-        commit_step(volts, caps, trial, trial_caps, h, integ, result);
-        return NewtonStatus::Converged;
-    }
-    if (status == NewtonStatus::IterBudget || status == NewtonStatus::Deadline ||
-        status == NewtonStatus::Cancelled) {
-        return status;
-    }
-    return rescue_failed_step(volts, caps, t, h, depth, integ, sab, budget,
-                              result, status);
+    if (!load_trial(volts, caps, t, h, budget)) return NewtonStatus::IterBudget;
+    const NewtonStatus status =
+        solve_newton(ws_.trial_volts, h, &ws_.trial_caps, integ, base_params(),
+                     budget, sab, result.total_newton_iters);
+    return settle_step(status, volts, caps, t, h, depth, integ, sab, budget,
+                       result);
 }
 
-Simulator::NewtonStatus Simulator::rescue_failed_step(
-    std::vector<double>& volts, std::vector<CapState>& caps, double t,
-    double h, int depth, Integrator integ, const Sabotage& sab,
-    Budget& budget, TransientResult& result, NewtonStatus status) const {
+Simulator::NewtonStatus Simulator::settle_step(
+    NewtonStatus status, std::vector<double>& volts,
+    std::vector<CapState>& caps, double t, double h, int depth,
+    Integrator integ, const Sabotage& sab, Budget& budget,
+    TransientResult& result) const {
     std::vector<double>& trial = ws_.trial_volts;
     std::vector<CapState>& trial_caps = ws_.trial_caps;
+    if (status == NewtonStatus::Converged) {
+        commit_step(volts, caps, trial, trial_caps, h, integ, result);
+        return status;
+    }
+    if (must_stop(status)) return status;
 
     // A failed fast solve may hold a factorization from the divergent
     // trajectory; the halving/ladder rescue starts clean.
@@ -833,10 +655,7 @@ Simulator::NewtonStatus Simulator::rescue_failed_step(
         ++result.rescued_steps;
         return NewtonStatus::Converged;
     }
-    if (rescue == NewtonStatus::IterBudget || rescue == NewtonStatus::Deadline ||
-        rescue == NewtonStatus::Cancelled) {
-        return rescue;
-    }
+    if (must_stop(rescue)) return rescue;
 
     // Rung 2: gmin stepping at this step width (conductance homotopy on
     // the companion-model circuit).
@@ -858,69 +677,18 @@ Simulator::NewtonStatus Simulator::rescue_failed_step(
         const double next = g * 0.1;
         g = (next <= options_.gmin || next < 1e-12) ? options_.gmin : next;
     }
-    if (rescue == NewtonStatus::IterBudget || rescue == NewtonStatus::Deadline ||
-        rescue == NewtonStatus::Cancelled) {
-        return rescue;
-    }
+    if (must_stop(rescue)) return rescue;
 
     return status; // The base attempt's classification.
 }
 
-double Simulator::injected_current(NodeId node, const std::vector<double>& volts,
-                                   double h, const std::vector<CapState>* caps,
-                                   Integrator integ, bool use_bypass) const {
-    double out = 0.0;
-
-    for (const auto& r : circuit_.resistors()) {
-        const double g = 1.0 / r.ohms;
-        const double i = g * (volts[r.a.index] - volts[r.b.index]);
-        if (r.a == node) out += i;
-        if (r.b == node) out -= i;
-    }
-    if (caps != nullptr && h > 0.0) {
-        const bool trap = integ == Integrator::Trapezoidal;
-        for (std::size_t k = 0; k < circuit_.capacitors().size(); ++k) {
-            const auto& c = circuit_.capacitors()[k];
-            const double geq = (trap ? 2.0 : 1.0) * c.farads / h;
-            const double vab = volts[c.a.index] - volts[c.b.index];
-            const double hist = geq * (*caps)[k].v_old + (trap ? (*caps)[k].i_old : 0.0);
-            const double i = geq * vab - hist;
-            if (c.a == node) out += i;
-            if (c.b == node) out -= i;
-        }
-    }
-    for (std::size_t k = 0; k < circuit_.mosfets().size(); ++k) {
-        const auto& m = circuit_.mosfets()[k];
-        const double vd = volts[m.drain.index];
-        const double vg = volts[m.gate.index];
-        const double vs = volts[m.source.index];
-        if (m.params.type == phys::MosType::Nmos) {
-            const phys::MosEval e =
-                eval_mosfet(k, m, vg - vs, vd - vs, use_bypass);
-            if (m.drain == node) out += e.id;   // Current leaves drain node.
-            if (m.source == node) out -= e.id;  // And enters the source node.
-        } else {
-            const phys::MosEval e =
-                eval_mosfet(k, m, vs - vg, vs - vd, use_bypass);
-            if (m.source == node) out += e.id;  // PMOS: leaves the source node.
-            if (m.drain == node) out -= e.id;
-        }
-    }
-    out += options_.gmin * volts[node.index];
-    return out;
-}
-
-void Simulator::meter_sources_batched(const std::vector<double>& volts,
-                                      double h,
-                                      const std::vector<CapState>* caps,
-                                      Integrator integ, bool use_bypass,
-                                      TransientResult& result) const {
-    // Accumulates every node's injected current in one element walk.
-    // Per node the contributions land in the same element order as
-    // injected_current's per-node walk (and the device pass reuses the
-    // same bypass caches the legacy walk would), so each driven node's
-    // current — and the banked energy — is bitwise identical to running
-    // injected_current once per source.
+void Simulator::meter_sources(const std::vector<double>& volts, double h,
+                              const std::vector<CapState>* caps,
+                              Integrator integ, bool use_bypass,
+                              TransientResult& result) const {
+    // Accumulates every node's injected current in one element walk:
+    // the current each source must deliver is what flows out of its
+    // node into the elements.
     std::vector<double>& cur = ws_.node_currents;
     cur.assign(circuit_.node_count(), 0.0);
 
@@ -956,180 +724,54 @@ void Simulator::meter_sources_batched(const std::vector<double>& volts,
     }
 }
 
-std::optional<SimError> Simulator::run_fixed(
-    const TransientSpec& spec, std::vector<double>& volts,
-    std::vector<CapState>& caps, Budget& budget, TransientResult& result,
-    const std::function<void(double)>& record) {
-    const long n_steps = static_cast<long>(std::ceil(spec.t_stop / spec.dt - 1e-9));
-    for (long s = 0; s < n_steps; ++s) {
-        const double t = static_cast<double>(s) * spec.dt;
-        const double h = std::min(spec.dt, spec.t_stop - t);
-        // The first step always uses backward Euler: the capacitor
-        // history current at t = 0 is unknown (initial conditions are
-        // generally not an equilibrium), and trapezoidal would carry
-        // that wrong history forward as sustained ringing.
-        const Integrator integ =
-            s == 0 ? Integrator::BackwardEuler : options_.integrator;
-        const Sabotage sab = next_sabotage();
-        const NewtonStatus status =
-            advance(volts, caps, t, h, 0, integ, sab, budget, result);
-        if (status != NewtonStatus::Converged) {
-            SimError e;
-            e.kind = kind_of_status(static_cast<int>(status));
-            e.message = "transient: Newton failed at t = " + std::to_string(t);
-            e.time_s = t;
-            e.newton_iters = result.total_newton_iters;
-            return e;
-        }
-        result.t_end = t + h;
-        const bool stop = spec.stop_when && spec.stop_when(t + h, volts);
-        if ((s + 1) % spec.record_stride == 0 || s + 1 == n_steps || stop) {
-            record(t + h);
-        }
-        if (stop) {
-            result.early_exit = true;
-            break;
-        }
+void Simulator::TransientRun::record(double t) {
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        result.traces[p].time.push_back(t);
+        result.traces[p].value.push_back(volts[probes[p].index]);
     }
-    return std::nullopt;
 }
 
-std::optional<SimError> Simulator::run_adaptive(
-    const TransientSpec& spec, std::vector<double>& volts,
-    std::vector<CapState>& caps, Budget& budget, TransientResult& result,
-    const std::function<void(double)>& record) {
-    const TransientOptions& k = options_.kernel;
-    const double dt_min = spec.dt * k.dt_min_factor;
-    const double dt_max = spec.dt * k.dt_max_factor;
-    const double t_eps = 1e-12 * spec.t_stop;
-    const bool meter = !result.source_energy_j.empty();
-
-    double t = 0.0;
-    double h = spec.dt;
-    double h_prev = 0.0;    ///< Width of the last accepted step.
-    bool have_prev = false; ///< ws_.prev_volts holds the state at t - h_prev.
-    bool first = true;
-    long accepted = 0;
-
-    while (t < spec.t_stop - t_eps) {
-        const double step = std::min(h, spec.t_stop - t);
-        const Integrator integ =
-            first ? Integrator::BackwardEuler : options_.integrator;
-        const Sabotage sab = next_sabotage();
-
-        // Snapshot the committed state so a too-coarse step can be
-        // rolled back (advance commits, including halved sub-steps and
-        // supply-energy metering).
-        ws_.save_volts = volts;
-        ws_.save_caps = caps;
-        if (meter) ws_.save_energy = result.source_energy_j;
-
-        const NewtonStatus status =
-            advance(volts, caps, t, step, 0, integ, sab, budget, result);
-        if (status != NewtonStatus::Converged) {
-            SimError e;
-            e.kind = kind_of_status(static_cast<int>(status));
-            e.message = "transient: Newton failed at t = " + std::to_string(t);
-            e.time_s = t;
-            e.newton_iters = result.total_newton_iters;
-            return e;
-        }
-
-        // LTE estimate: the divided-difference predictor extrapolates
-        // the previous two accepted solutions to t + step; the distance
-        // between prediction and corrected solution tracks the local
-        // truncation error of the Trapezoidal/BE corrector.
-        double rel = -1.0;
-        if (have_prev && h_prev > 0.0) {
-            const double ratio = step / h_prev;
-            double err_v = 0.0;
-            double vmax = 0.0;
-            for (std::size_t i = 0; i < circuit_.node_count(); ++i) {
-                if (unknown_index_[i] < 0) continue;
-                const double pred =
-                    ws_.save_volts[i] + ratio * (ws_.save_volts[i] - ws_.prev_volts[i]);
-                err_v = std::max(err_v, std::abs(volts[i] - pred));
-                vmax = std::max(vmax, std::abs(volts[i]));
-            }
-            rel = err_v / std::max(vmax, 1.0);
-            if (rel > k.lte_rel_tol && step > dt_min * (1.0 + 1e-9)) {
-                // Reject: roll back and retry smaller. At dt_min the
-                // step is always accepted — the floor bounds the cost.
-                volts = ws_.save_volts;
-                caps = ws_.save_caps;
-                if (meter) result.source_energy_j = ws_.save_energy;
-                ++ws_.steps_rejected;
-                h = std::max(dt_min, step * k.dt_shrink);
-                continue;
-            }
-        }
-
-        // Accept.
-        ws_.prev_volts.swap(ws_.save_volts);
-        h_prev = step;
-        have_prev = true;
-        first = false;
-        t += step;
-        ++accepted;
-        result.t_end = t;
-
-        const bool done = t >= spec.t_stop - t_eps;
-        const bool stop = spec.stop_when && spec.stop_when(t, volts);
-        if (accepted % spec.record_stride == 0 || done || stop) record(t);
-        if (stop) {
-            result.early_exit = true;
-            break;
-        }
-
-        // Grow only on a comfortably small LTE; otherwise hold.
-        if (rel >= 0.0 && rel < 0.25 * k.lte_rel_tol) {
-            h = std::min(dt_max, step * k.dt_grow);
-        } else {
-            h = step;
-        }
-    }
-    return std::nullopt;
-}
-
-Result<TransientResult> Simulator::try_transient(const TransientSpec& spec) {
+void Simulator::validate_spec(const Circuit& circuit, const TransientSpec& spec) {
     if (spec.t_stop <= 0.0 || spec.dt <= 0.0) {
         throw std::invalid_argument("transient: t_stop and dt must be > 0");
     }
     if (spec.record_stride < 1) {
         throw std::invalid_argument("transient: record_stride must be >= 1");
     }
-
-    obs::Span span("spice.transient");
-    span.tag("mode", options_.kernel.adaptive ? "adaptive" : "fixed");
-
-    Budget budget = make_budget();
-
-    std::vector<double> volts(circuit_.node_count(), 0.0);
-    if (spec.start_from_dc) {
-        auto dc = dc_ladder(budget);
-        if (!dc.ok()) return dc.error();
-        volts = std::move(dc.value());
-    } else {
-        set_driven(volts, 0.0);
-    }
-    for (const auto& [node, v] : spec.initial_conditions) {
-        if (node.index >= circuit_.node_count()) {
+    for (const auto& ic : spec.initial_conditions) {
+        if (ic.first.index >= circuit.node_count()) {
             throw std::invalid_argument("transient: initial-condition node out of range");
         }
-        if (circuit_.is_driven(node)) {
+        if (circuit.is_driven(ic.first)) {
             throw std::invalid_argument("transient: cannot set IC on driven node");
         }
-        volts[node.index] = v;
+    }
+}
+
+std::optional<SimError> Simulator::start_transient(const TransientSpec& spec,
+                                                   TransientRun& run) {
+    run.budget = make_budget();
+
+    run.volts.assign(circuit_.node_count(), 0.0);
+    if (spec.start_from_dc) {
+        auto dc = dc_ladder(run.budget);
+        if (!dc.ok()) return dc.error();
+        run.volts = std::move(dc.value());
+    } else {
+        set_driven(run.volts, 0.0);
+    }
+    for (const auto& [node, v] : spec.initial_conditions) {
+        run.volts[node.index] = v;
     }
 
-    std::vector<NodeId> probes = spec.probes;
-    if (probes.empty()) {
+    run.probes = spec.probes;
+    if (run.probes.empty()) {
         for (std::size_t i = 0; i < circuit_.node_count(); ++i) {
-            probes.push_back(NodeId{static_cast<std::uint32_t>(i)});
+            run.probes.push_back(NodeId{static_cast<std::uint32_t>(i)});
         }
     }
 
-    TransientResult result;
+    TransientResult& result = run.result;
     if (spec.start_from_dc) {
         result.deepest_rung = last_dc_rung_;
         if (last_dc_rung_ != RecoveryRung::None) ++result.rescued_steps;
@@ -1137,78 +779,116 @@ Result<TransientResult> Simulator::try_transient(const TransientSpec& spec) {
     if (spec.measure_power) {
         result.source_energy_j.assign(circuit_.node_count(), 0.0);
     }
-    result.traces.resize(probes.size());
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-        result.traces[p].name = circuit_.node_name(probes[p]);
+    result.traces.resize(run.probes.size());
+    for (std::size_t p = 0; p < run.probes.size(); ++p) {
+        result.traces[p].name = circuit_.node_name(run.probes[p]);
     }
-    auto record = [&](double t) {
-        for (std::size_t p = 0; p < probes.size(); ++p) {
-            result.traces[p].time.push_back(t);
-            result.traces[p].value.push_back(volts[probes[p].index]);
-        }
-    };
 
-    std::vector<CapState> caps(circuit_.capacitors().size());
-    for (std::size_t k = 0; k < caps.size(); ++k) {
+    run.caps.assign(circuit_.capacitors().size(), CapState{});
+    for (std::size_t k = 0; k < run.caps.size(); ++k) {
         const auto& c = circuit_.capacitors()[k];
-        caps[k].v_old = volts[c.a.index] - volts[c.b.index];
-        caps[k].i_old = 0.0;
+        run.caps[k].v_old = run.volts[c.a.index] - run.volts[c.b.index];
     }
 
-    record(0.0);
+    run.record(0.0);
+    run.n_steps = static_cast<long>(std::ceil(spec.t_stop / spec.dt - 1e-9));
 
     // The kernel counters measure the transient only (the DC start above
     // ran on the classic path); a kept factorization or bypass cache
     // from a previous run must not leak across calls either.
     ws_.reset_stats();
     invalidate_factors();
-    for (auto& c : ws_.mos) c.valid = false;
-    if (ws_.batch != nullptr) ws_.batch->invalidate_cache(batch_block_);
+    ws_.batch->invalidate_cache(batch_block_);
+    return std::nullopt;
+}
 
-    const std::optional<SimError> err =
-        options_.kernel.adaptive
-            ? run_adaptive(spec, volts, caps, budget, result, record)
-            : run_fixed(spec, volts, caps, budget, result, record);
+Simulator::BaseStep Simulator::base_step(const TransientSpec& spec, long s) const {
+    BaseStep step;
+    step.t = static_cast<double>(s) * spec.dt;
+    step.h = std::min(spec.dt, spec.t_stop - step.t);
+    // The first step always uses backward Euler: the capacitor history
+    // current at t = 0 is unknown (initial conditions are generally not
+    // an equilibrium), and trapezoidal would carry that wrong history
+    // forward as sustained ringing.
+    step.integ = s == 0 ? Integrator::BackwardEuler : options_.integrator;
+    return step;
+}
 
+bool Simulator::end_step(const TransientSpec& spec, TransientRun& run, long s,
+                         const BaseStep& step) const {
+    const double t = step.t + step.h;
+    run.result.t_end = t;
+    const bool stop = spec.stop_when && spec.stop_when(t, run.volts);
+    const bool last = s + 1 == run.n_steps;
+    if ((s + 1) % spec.record_stride == 0 || last || stop) run.record(t);
+    if (stop) run.result.early_exit = true;
+    return stop || last;
+}
+
+SimError Simulator::step_failure(NewtonStatus status, double t,
+                                 long newton_iters) {
+    char when[32];
+    std::snprintf(when, sizeof when, "%g", t);
+    SimError e;
+    e.kind = error_kind(status);
+    e.message = std::string("transient: Newton failed at t = ") + when;
+    e.time_s = t;
+    e.newton_iters = newton_iters;
+    return e;
+}
+
+Result<TransientResult> Simulator::finish_transient(
+    TransientRun& run, std::optional<SimError> error) const {
+    TransientResult& result = run.result;
+    const DeviceBatch::Stats& dev = ws_.batch_stats;
     result.lu_refactors = ws_.lu_refactors;
     result.lu_reuses = ws_.lu_reuses;
-    result.bypass_hits = ws_.bypass_hits + ws_.batch_stats.bypass_hits;
-    result.device_evals = ws_.device_evals + ws_.batch_stats.device_evals;
-    result.steps_rejected = ws_.steps_rejected;
-    result.batch_lanes = ws_.batch_stats.batch_lanes;
-    result.simd_groups = ws_.batch_stats.simd_groups;
+    result.bypass_hits = dev.bypass_hits;
+    result.device_evals = dev.device_evals;
+    result.batch_lanes = dev.batch_lanes;
+    result.simd_groups = dev.simd_groups;
     result.banded_factors = ws_.banded_factors;
-    span.num("steps", static_cast<double>(result.steps_taken));
-    if (err) return *err;
+    if (error) return std::move(*error);
 
     // Publish the kernel statistics once per run, off the per-step hot
     // path (parallel sweeps then count identically at any thread count).
+    const std::pair<const char*, long> counters[] = {
+        {"spice.newton.refactor", result.lu_refactors},
+        {"spice.newton.reuse", result.lu_reuses},
+        {"spice.eval.bypass_hits", result.bypass_hits},
+        {"spice.eval.batch_lanes", result.batch_lanes},
+        {"spice.eval.simd_groups", result.simd_groups},
+        {"spice.lu.banded_factors", result.banded_factors},
+    };
     auto& metrics = exec::MetricsRegistry::global();
-    if (result.lu_refactors > 0) {
-        metrics.counter("spice.newton.refactor")
-            .add(static_cast<std::uint64_t>(result.lu_refactors));
+    for (const auto& [name, n] : counters) {
+        if (n > 0) metrics.counter(name).add(static_cast<std::uint64_t>(n));
     }
-    if (result.lu_reuses > 0) {
-        metrics.counter("spice.newton.reuse")
-            .add(static_cast<std::uint64_t>(result.lu_reuses));
+    return std::move(result);
+}
+
+Result<TransientResult> Simulator::try_transient(const TransientSpec& spec) {
+    validate_spec(circuit_, spec);
+    obs::Span span("spice.transient");
+
+    TransientRun run;
+    if (auto dc_error = start_transient(spec, run)) return std::move(*dc_error);
+
+    std::optional<SimError> error;
+    for (long s = 0; s < run.n_steps; ++s) {
+        const BaseStep step = base_step(spec, s);
+        const Sabotage sab = next_sabotage();
+        const NewtonStatus status = advance(run.volts, run.caps, step.t, step.h,
+                                            0, step.integ, sab, run.budget,
+                                            run.result);
+        if (status != NewtonStatus::Converged) {
+            error = step_failure(status, step.t, run.result.total_newton_iters);
+            break;
+        }
+        if (end_step(spec, run, s, step)) break;
     }
-    if (result.bypass_hits > 0) {
-        metrics.counter("spice.eval.bypass_hits")
-            .add(static_cast<std::uint64_t>(result.bypass_hits));
-    }
-    if (result.batch_lanes > 0) {
-        metrics.counter("spice.eval.batch_lanes")
-            .add(static_cast<std::uint64_t>(result.batch_lanes));
-    }
-    if (result.simd_groups > 0) {
-        metrics.counter("spice.eval.simd_groups")
-            .add(static_cast<std::uint64_t>(result.simd_groups));
-    }
-    if (result.banded_factors > 0) {
-        metrics.counter("spice.lu.banded_factors")
-            .add(static_cast<std::uint64_t>(result.banded_factors));
-    }
-    return result;
+    span.num("steps", static_cast<double>(run.result.steps_taken));
+    return finish_transient(run, std::move(error));
 }
 
 TransientResult Simulator::transient(const TransientSpec& spec) {

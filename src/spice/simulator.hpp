@@ -1,6 +1,6 @@
-// Newton/MNA circuit simulator: DC operating point and transient
-// analysis with trapezoidal (default) or backward-Euler integration,
-// fixed-step by default and LTE-controlled adaptive stepping opt-in.
+// Newton/MNA circuit simulator: DC operating point and fixed-step
+// transient analysis with trapezoidal (default) or backward-Euler
+// integration.
 //
 // Scope: the circuits in this library are small (tens of nodes), stiff
 // only at logic edges, and always have every source node-to-ground, so
@@ -8,10 +8,12 @@
 // assembles a dense Jacobian, and retries failed Newton solves by
 // recursive step halving. That is all Fig. 1-class simulation needs.
 //
-// Performance kernel (opt-in via SimOptions::kernel, default off and
-// bitwise identical to the historical engine):
+// Every solve assembles its MOSFET stamps through one evaluator, the
+// Simulator's spice::DeviceBatch (SoA lanes, bitwise identical to
+// phys::evaluate). Performance kernel (opt-in via SimOptions::kernel,
+// default off and bitwise identical to the historical engine):
 //   * a preallocated per-Simulator Workspace (Jacobian, residual,
-//     delta, trial state, LU factors, bypass caches) makes the steady
+//     delta, trial state, LU factors, device batch) makes the steady
 //     state of advance()/solve_newton() allocation-free;
 //   * modified Newton: the LU factorization is kept and re-solved
 //     across iterations and across steps of equal width, refactoring
@@ -19,10 +21,7 @@
 //     spice.newton.reuse metrics);
 //   * device-evaluation bypass: a MOSFET whose terminal voltages moved
 //     less than bypass_tol_v since its last phys::evaluate is restamped
-//     from the cached linearization (spice.eval.bypass_hits);
-//   * adaptive stepping: a predictor/corrector divided-difference LTE
-//     estimate grows/shrinks the step within [dt_min, dt_max], with
-//     rejected steps rolled back and retried smaller.
+//     from the cached linearization (spice.eval.bypass_hits).
 //
 // Fault tolerance: the try_* entry points return spice::Result<T>
 // carrying a structured SimError instead of throwing, and failed solves
@@ -52,7 +51,6 @@
 #include "spice/waveform.hpp"
 
 #include "exec/cancel.hpp"
-#include "phys/mosfet.hpp"
 #include "util/simd.hpp"
 
 #include <chrono>
@@ -60,7 +58,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -100,15 +97,9 @@ struct TransientOptions {
     /// restamped from the cached linearization. 0 disables bypass.
     double bypass_tol_v = 0.0;
 
-    /// Batched SoA device evaluation: gather every MOSFET's terminal
-    /// voltages into contiguous lanes, evaluate the population in one
-    /// pass (bypass test folded into a per-lane mask), and scatter the
-    /// stamps through a precomputed flat index map. Bitwise identical
-    /// to the legacy per-device loop by construction (the parity suite
-    /// gates it), so it is safe anywhere the legacy kernel runs.
-    bool batch_eval = false;
-    /// Lane-kernel dispatch for batch_eval (scalar and AVX2 kernels are
-    /// bitwise identical; the STSENSE_SIMD env var overrides this).
+    /// Lane-kernel dispatch for the device batch (scalar and AVX2
+    /// kernels are bitwise identical; the STSENSE_SIMD env var
+    /// overrides this).
     util::SimdMode simd = util::SimdMode::Auto;
 
     /// Structure-exploiting bordered-band LU for the ring's MNA pattern
@@ -130,22 +121,11 @@ struct TransientOptions {
     /// construction.
     int lockstep_width = 1;
 
-    /// LTE-driven adaptive time stepping (rejected steps are rolled
-    /// back and retried with a smaller h).
-    bool adaptive = false;
-    /// Predictor/corrector LTE acceptance threshold, relative to the
-    /// largest node-voltage magnitude.
-    double lte_rel_tol = 5e-4;
-    double dt_min_factor = 0.25; ///< h >= dt_min_factor * spec.dt.
-    double dt_max_factor = 4.0;  ///< h <= dt_max_factor * spec.dt.
-    double dt_grow = 1.5;        ///< Step growth on a comfortably small LTE.
-    double dt_shrink = 0.5;      ///< Step shrink on a rejected step.
-
     /// The tuned fast path: 0.5 mV device bypass (the ring's Jacobian
     /// is tiny, so phys::evaluate dominates each iteration and bypass
-    /// is the big win) on the batched SoA evaluator, banded LU on the
-    /// ring's bordered-band MNA pattern, lock-step multi-point
-    /// evaluation, and modified Newton gated on strict contraction.
+    /// is the big win), banded LU on the ring's bordered-band MNA
+    /// pattern, lock-step multi-point evaluation, and modified Newton
+    /// gated on strict contraction.
     /// The reuse tuning is counter-intuitive and deliberate: with the
     /// banded kernel a factorization is cheap, so the preset reuses a
     /// factorization only while the iteration contracts hard (ratio
@@ -154,13 +134,10 @@ struct TransientOptions {
     /// relaxed threshold (0.9, the obvious choice against the ring's
     /// 0.6-0.8 contraction rate) reuses far more but nearly doubles
     /// the iteration count and loses outright; see DESIGN §15 for the
-    /// measured ablation. Adaptive stepping stays opt-in: a ring
-    /// always has an edge in flight for the LTE controller to resolve,
-    /// so it trades accuracy for nothing here.
+    /// measured ablation.
     static TransientOptions fast() {
         TransientOptions k;
         k.bypass_tol_v = 5e-4;
-        k.batch_eval = true;
         k.banded_lu = true;
         k.reuse_lu = true;
         k.reuse_iter_limit = 2;
@@ -191,7 +168,7 @@ struct SimOptions {
 
     // --- Per-solve budgets (0 = unlimited) ---
     long max_total_newton_iters = 0; ///< Whole-call budget -> StepLimit.
-    long max_transient_steps = 0;    ///< Attempted (accepted+halved+rejected)
+    long max_transient_steps = 0;    ///< Attempted (accepted + halved)
                                      ///< steps -> StepLimit.
     double max_wall_ms = 0.0;        ///< Whole-call budget -> DeadlineExceeded.
 };
@@ -237,9 +214,8 @@ struct TransientResult {
     long lu_refactors = 0;   ///< Fresh Jacobian factorizations.
     long lu_reuses = 0;      ///< Iterations solved against a kept LU.
     long bypass_hits = 0;    ///< Device evaluations served from cache.
-    long device_evals = 0;   ///< Real model evaluations (either path).
-    long steps_rejected = 0; ///< Adaptive steps rolled back on LTE.
-    long batch_lanes = 0;    ///< SoA lanes processed by the batched path
+    long device_evals = 0;   ///< Real model evaluations.
+    long batch_lanes = 0;    ///< SoA lanes processed by the device batch
                              ///< (spice.eval.batch_lanes).
     long simd_groups = 0;    ///< 4-lane AVX2 groups (spice.eval.simd_groups).
     long banded_factors = 0; ///< Banded-LU factorizations
@@ -319,6 +295,16 @@ private:
         Running,
     };
 
+    /// Budget, deadline and cancel verdicts end the call: no rescue
+    /// (halving or ladder rung) may run after one.
+    static bool must_stop(NewtonStatus s) {
+        return s == NewtonStatus::IterBudget || s == NewtonStatus::Deadline ||
+               s == NewtonStatus::Cancelled;
+    }
+
+    /// The error kind a failed solve reports.
+    static SimErrorKind error_kind(NewtonStatus s);
+
     /// Knobs of one solve attempt (the ladder varies these per rung).
     struct NewtonParams {
         int max_iters = 0;
@@ -328,9 +314,9 @@ private:
         /// the fault injector sabotages attempts with
         /// rung_index < newton_fail_rungs of a tripped solve event.
         int rung_index = 0;
-        /// Allows the solve to use the fast kernel's LU-reuse/bypass
-        /// shortcuts (rung-0 transient attempts only; DC and the ladder
-        /// rungs always run the classic path).
+        /// Allows the solve to use the fast kernel's LU-reuse/bypass/
+        /// banded shortcuts (rung-0 transient attempts only; DC and the
+        /// ladder rungs always run the classic path).
         bool allow_fast = false;
     };
 
@@ -353,6 +339,8 @@ private:
         bool nan = false;    ///< Attempts under `rungs` get a planted NaN.
         int rungs = 0;
         bool active() const { return newton || nan; }
+        /// Whether an attempt on ladder rung `rung_index` fails outright.
+        bool fails(int rung_index) const { return newton && rung_index < rungs; }
     };
 
     /// Per-attempt kernel-path flags plus the loop-carried state of one
@@ -363,7 +351,6 @@ private:
         // Path selection, fixed per attempt (make_iter_state).
         bool fast_reuse = false; ///< Modified Newton (LU kept across iters).
         bool use_bypass = false; ///< Device bypass caches allowed.
-        bool use_batch = false;  ///< Batched SoA assemble path.
         bool banded = false;     ///< Banded LU requested (may fall back).
         // Loop-carried iteration state.
         int it = 0;
@@ -372,23 +359,16 @@ private:
         double prev_max_dv = std::numeric_limits<double>::infinity();
     };
 
-    /// Cached linearization of one MOSFET at its last real evaluation
-    /// (terminal-voltage magnitudes in the device polarity convention).
-    struct MosBypass {
-        bool valid = false;
-        double vgs = 0.0;
-        double vds = 0.0;
-        phys::MosEval eval;
-    };
-
     /// Preallocated solver state, sized once in the constructor so the
     /// steady state of advance()/solve_newton() performs no heap
     /// allocation. Mutable because the public entry points are
     /// logically const; see the class comment for the threading rule.
     struct Workspace {
-        Matrix jac;                   ///< n_unknowns x n_unknowns.
-        std::vector<double> residual; ///< n_unknowns.
-        std::vector<double> delta;    ///< Newton update.
+        Matrix jac; ///< n_unknowns x n_unknowns.
+        /// n_unknowns + 1: the trailing trash slot absorbs the device
+        /// stamps addressed at driven nodes.
+        std::vector<double> residual;
+        std::vector<double> delta; ///< Newton update.
         std::vector<double> trial_volts;
         std::vector<CapState> trial_caps;
 
@@ -411,15 +391,12 @@ private:
         bool banded_fallback = false;
         bool banded_active = false; ///< blu (not lu) holds the live factors.
 
-        std::vector<MosBypass> mos; ///< Per-MOSFET bypass caches.
-
-        // Batched SoA evaluator (kernel.batch_eval). shared_ptr because
-        // the lock-step sweep hands one multi-block batch to several
-        // Simulators (each using its own block).
+        // The device evaluator. shared_ptr because the lock-step sweep
+        // hands one multi-block batch to several Simulators (each using
+        // its own block).
         std::shared_ptr<DeviceBatch> batch;
         DeviceBatch::Stats batch_stats;
-        std::vector<double> residual_b;     ///< n_unknowns + 1 (trash slot).
-        std::vector<double> node_currents;  ///< Metering scratch (node count).
+        std::vector<double> node_currents; ///< Metering scratch (node count).
 
         // Capacitor companion conductances for the (h, rule) the last
         // stamp ran under — the division per capacitor moves out of the
@@ -428,66 +405,52 @@ private:
         double geq_h = -1.0;
         bool geq_trap = false;
 
-        // Adaptive-stepping bookkeeping (rollback + predictor).
-        std::vector<double> save_volts;
-        std::vector<CapState> save_caps;
-        std::vector<double> save_energy;
-        std::vector<double> prev_volts; ///< Solution one accepted step back.
-
-        // Kernel statistics, harvested into TransientResult per run.
+        // Kernel statistics, harvested into TransientResult per run
+        // (the device counters accumulate in batch_stats).
         long lu_refactors = 0;
         long lu_reuses = 0;
-        long bypass_hits = 0;
-        long device_evals = 0;
-        long steps_rejected = 0;
         long banded_factors = 0;
 
         void reset_stats() {
-            lu_refactors = lu_reuses = bypass_hits = device_evals =
-                steps_rejected = banded_factors = 0;
+            lu_refactors = lu_reuses = banded_factors = 0;
             batch_stats = DeviceBatch::Stats{};
         }
     };
 
+    /// One transient in flight: what the step loop carries from the
+    /// head (start_transient) to the tail (finish_transient). A solo
+    /// run holds one; the lock-step runner holds one per point.
+    struct TransientRun {
+        Budget budget;
+        std::vector<double> volts;
+        std::vector<CapState> caps;
+        std::vector<NodeId> probes;
+        TransientResult result;
+        long n_steps = 0; ///< Base steps from 0 to t_stop.
+
+        /// Appends the probed node voltages at time t.
+        void record(double t);
+    };
+
+    /// Base step s of the fixed grid.
+    struct BaseStep {
+        double t = 0.0; ///< Start time.
+        double h = 0.0; ///< Width (the last step is clipped at t_stop).
+        Integrator integ = Integrator::Trapezoidal;
+    };
+
     /// Assembles the residual (and, when `want_jac`, the Jacobian) at
-    /// `volts`; when `caps` is non-null, capacitor companion models for
-    /// step `h` under the given integration rule are stamped. (The rule
-    /// is per-step because the first transient step always uses backward
-    /// Euler: the capacitor history current at t = 0 is unknown, and
-    /// trapezoidal would carry a wrong history forward as ringing.)
-    /// `gmin` is a parameter so the gmin-stepping rung can ramp it per
-    /// attempt. `use_bypass` serves quiet MOSFETs from the workspace
-    /// bypass caches instead of phys::evaluate.
+    /// `volts` into the workspace; when `caps` is non-null, capacitor
+    /// companion models for step `h` under the given integration rule
+    /// are stamped. (The rule is per-step because the first transient
+    /// step always uses backward Euler: the capacitor history current at
+    /// t = 0 is unknown, and trapezoidal would carry a wrong history
+    /// forward as ringing.) `gmin` is a parameter so the gmin-stepping
+    /// rung can ramp it per attempt. The MOSFET slice runs through the
+    /// device batch; `use_bypass` serves quiet devices from its caches.
     void assemble(const std::vector<double>& volts, double h,
                   const std::vector<CapState>* caps, Integrator integ,
-                  double gmin, bool want_jac, bool use_bypass, Matrix& jac,
-                  std::vector<double>& residual) const;
-
-    /// The linear-element (resistor + capacitor-companion) and gmin
-    /// slices of assemble(), shared between the legacy and batched
-    /// assembly paths. `residual` only needs n_unknowns entries.
-    void stamp_linear(const std::vector<double>& volts, double h,
-                      const std::vector<CapState>* caps, Integrator integ,
-                      bool want_jac, Matrix& jac,
-                      std::span<double> residual) const;
-    void stamp_gmin(const std::vector<double>& volts, double gmin,
-                    bool want_jac, Matrix& jac,
-                    std::span<double> residual) const;
-
-    /// Batched assembly: identical element order (resistors, caps,
-    /// devices, gmin) and per-cell accumulation order as assemble(), so
-    /// every residual/Jacobian entry is bitwise equal — the device slice
-    /// just runs through ws_.batch. Fills ws_.residual_b (whose trailing
-    /// trash slot absorbs driven-node stamps).
-    void assemble_batched(const std::vector<double>& volts, double h,
-                          const std::vector<CapState>* caps, Integrator integ,
-                          double gmin, bool want_jac, bool use_bypass,
-                          Matrix& jac) const;
-
-    /// Evaluates MOSFET `k` at the given terminal-voltage magnitudes,
-    /// through the bypass cache when allowed.
-    phys::MosEval eval_mosfet(std::size_t k, const Mosfet& m, double vgs,
-                              double vds, bool use_bypass) const;
+                  double gmin, bool want_jac, bool use_bypass) const;
 
     /// Newton-iterates `volts` (full node vector; driven entries are
     /// preset by the caller) under the attempt's params, budget, and
@@ -527,16 +490,28 @@ private:
                          int depth, Integrator integ, const Sabotage& sab,
                          Budget& budget, TransientResult& result) const;
 
-    /// The rescue tail of advance() (step halving, then the damped/gmin
-    /// ladder rungs), split out so the lock-step sweep can route a
-    /// failed phase-advanced point through the identical recovery the
-    /// solo engine runs. `status` is the failed base attempt's verdict.
-    NewtonStatus rescue_failed_step(std::vector<double>& volts,
-                                    std::vector<CapState>& caps, double t,
-                                    double h, int depth, Integrator integ,
-                                    const Sabotage& sab, Budget& budget,
-                                    TransientResult& result,
-                                    NewtonStatus status) const;
+    /// The head of advance()'s rung-0 attempt: charges the step to the
+    /// budget (false when none is left) and loads the workspace trial
+    /// buffers with the committed state, sources at t + h.
+    bool load_trial(const std::vector<double>& volts,
+                    const std::vector<CapState>& caps, double t, double h,
+                    Budget& budget) const;
+
+    /// Knobs of the rung-0 attempt, the only one allowed the fast kernel.
+    NewtonParams base_params() const {
+        return {options_.max_newton_iters, options_.v_step_limit,
+                options_.gmin, 0, true};
+    }
+
+    /// The tail of advance() once its rung-0 attempt ended in `status`:
+    /// commits a converged trial, passes a must_stop verdict through, or
+    /// rescues the step (halving, then the damped/gmin ladder rungs).
+    /// The lock-step sweep routes its phase-advanced attempts through
+    /// this too, so a failed point recovers exactly as a solo run does.
+    NewtonStatus settle_step(NewtonStatus status, std::vector<double>& volts,
+                             std::vector<CapState>& caps, double t, double h,
+                             int depth, Integrator integ, const Sabotage& sab,
+                             Budget& budget, TransientResult& result) const;
 
     /// Commits an accepted step solution (metering + cap history); the
     /// trial buffers are swapped into volts/caps.
@@ -555,21 +530,13 @@ private:
     void update_cap_state(const std::vector<double>& volts, double h,
                           Integrator integ, std::vector<CapState>& caps) const;
 
-    /// Current flowing out of `node` into the circuit elements at the
-    /// given solution (the current its source must deliver) [A].
-    double injected_current(NodeId node, const std::vector<double>& volts,
-                            double h, const std::vector<CapState>* caps,
-                            Integrator integ, bool use_bypass) const;
-
-    /// Batched supply metering: one device-population pass accumulates
-    /// every node's injected current (per-node sums run in the same
-    /// element order as injected_current, so each source's current — and
-    /// the banked energy — is bitwise identical to the legacy
-    /// per-driven-node walks).
-    void meter_sources_batched(const std::vector<double>& volts, double h,
-                               const std::vector<CapState>* caps,
-                               Integrator integ, bool use_bypass,
-                               TransientResult& result) const;
+    /// Supply metering: one device-batch pass accumulates every node's
+    /// injected current (resistors, capacitors, devices, then the gmin
+    /// shunt, per node in element order), and each driven node banks
+    /// v * i * h into result.source_energy_j.
+    void meter_sources(const std::vector<double>& volts, double h,
+                       const std::vector<CapState>* caps, Integrator integ,
+                       bool use_bypass, TransientResult& result) const;
 
     /// Drops every kept factorization (dense and banded).
     void invalidate_factors() const {
@@ -578,23 +545,44 @@ private:
         ws_.banded_active = false;
     }
 
-    /// The fixed-step loop (the historical engine, preserved bit for
-    /// bit) and the opt-in adaptive loop behind try_transient. Both
-    /// fill `result` in place and return the failure, if any.
-    std::optional<SimError> run_fixed(const TransientSpec& spec,
-                                      std::vector<double>& volts,
-                                      std::vector<CapState>& caps,
-                                      Budget& budget, TransientResult& result,
-                                      const std::function<void(double)>& record);
-    std::optional<SimError> run_adaptive(const TransientSpec& spec,
-                                         std::vector<double>& volts,
-                                         std::vector<CapState>& caps,
-                                         Budget& budget, TransientResult& result,
-                                         const std::function<void(double)>& record);
+    // --- One transient, in the order a run calls them. try_transient
+    // and the lock-step runner share each of these, so a lock-step point
+    // starts, steps, fails and finishes exactly like a solo run. ---
 
-    /// Lock-step construction: share a prebuilt multi-block DeviceBatch,
-    /// using `block` as this point's lane block. Only LockStepRunner
-    /// (spice/lockstep.cpp) uses this.
+    /// Throws std::invalid_argument on a malformed spec: t_stop, dt,
+    /// record_stride, or an initial condition on a missing or driven
+    /// node.
+    static void validate_spec(const Circuit& circuit, const TransientSpec& spec);
+
+    /// The transient head: budget, DC start (or the driven flat start),
+    /// initial conditions, probes, result setup, capacitor history, the
+    /// t = 0 sample, and a workspace with fresh counters and no kept
+    /// factorization or bypass cache. Returns the DC start's error.
+    std::optional<SimError> start_transient(const TransientSpec& spec,
+                                            TransientRun& run);
+
+    BaseStep base_step(const TransientSpec& spec, long s) const;
+
+    /// After base step s committed: sets t_end, asks stop_when, records
+    /// the sample when due. Returns true when the run is over (stop_when
+    /// fired or s was the last step).
+    bool end_step(const TransientSpec& spec, TransientRun& run, long s,
+                  const BaseStep& step) const;
+
+    /// The error of a base step that ended in `status` at time t.
+    static SimError step_failure(NewtonStatus status, double t,
+                                 long newton_iters);
+
+    /// The transient tail: harvests the kernel counters into the result
+    /// and, when the run succeeded, publishes them to the global
+    /// exec::MetricsRegistry. Returns the result, or `error` if set.
+    Result<TransientResult> finish_transient(TransientRun& run,
+                                             std::optional<SimError> error) const;
+
+    /// Shared-batch construction: `batch` null builds this Simulator's
+    /// own one-block batch at options.temp_k; otherwise `block` selects
+    /// this point's lane block of a prebuilt multi-block batch (only
+    /// LockStepRunner, spice/lockstep.cpp, passes one).
     Simulator(const Circuit& circuit, SimOptions options,
               std::shared_ptr<DeviceBatch> batch, std::size_t block);
 

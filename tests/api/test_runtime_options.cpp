@@ -34,7 +34,7 @@ TEST(RuntimeOptions, DefaultsProjectTheLayerDefaults) {
     const spice::TransientOptions tref;
     EXPECT_EQ(trans.reuse_lu, tref.reuse_lu);
     EXPECT_EQ(trans.bypass_tol_v, tref.bypass_tol_v);
-    EXPECT_EQ(trans.adaptive, tref.adaptive);
+    EXPECT_EQ(trans.banded_lu, tref.banded_lu);
 
     const auto spice_opt = rt.spice_ring_options();
     const ring::SpiceRingOptions sref;
@@ -145,7 +145,7 @@ TEST(RuntimeOptions, FastKernelProjectsTheTunedPresets) {
     const auto fast = spice::TransientOptions::fast();
     EXPECT_EQ(trans.reuse_lu, fast.reuse_lu);
     EXPECT_EQ(trans.bypass_tol_v, fast.bypass_tol_v);
-    EXPECT_EQ(trans.adaptive, fast.adaptive);
+    EXPECT_EQ(trans.banded_lu, fast.banded_lu);
     const auto spice_opt = rt.spice_ring_options();
     EXPECT_TRUE(spice_opt.early_exit);
     EXPECT_EQ(spice_opt.kernel.bypass_tol_v, fast.bypass_tol_v);
@@ -156,11 +156,9 @@ TEST(RuntimeOptions, KernelKnobsOverrideTheSelectedPreset) {
     // rest of the kernel stays seed-identical.
     {
         const auto t = RuntimeOptions()
-                           .batch_eval(true)
                            .simd(util::SimdMode::ForceScalar)
                            .lockstep(4)
                            .transient_options();
-        EXPECT_TRUE(t.batch_eval);
         EXPECT_EQ(t.simd, util::SimdMode::ForceScalar);
         EXPECT_EQ(t.lockstep_width, 4);
         EXPECT_FALSE(t.banded_lu);
@@ -171,11 +169,9 @@ TEST(RuntimeOptions, KernelKnobsOverrideTheSelectedPreset) {
     {
         const auto t = RuntimeOptions()
                            .fast_kernel(true)
-                           .batch_eval(false)
                            .banded_lu(false)
                            .lockstep(1)
                            .transient_options();
-        EXPECT_FALSE(t.batch_eval);
         EXPECT_FALSE(t.banded_lu);
         EXPECT_EQ(t.lockstep_width, 1);
         EXPECT_TRUE(t.reuse_lu); // The rest of the preset survives.
@@ -195,7 +191,6 @@ TEST(RuntimeOptions, KernelKnobsOverrideTheSelectedPreset) {
     {
         const auto t = RuntimeOptions().transient_options();
         const spice::TransientOptions ref;
-        EXPECT_EQ(t.batch_eval, ref.batch_eval);
         EXPECT_EQ(t.banded_lu, ref.banded_lu);
         EXPECT_EQ(t.simd, ref.simd);
         EXPECT_EQ(t.lockstep_width, ref.lockstep_width);

@@ -248,7 +248,6 @@ TEST(ServiceRuntime, KernelNodeReportsConfigAndCounters) {
     // The plain session projects the seed-identical engine.
     const Json plain = kernel_of(1, 0);
     EXPECT_FALSE(plain.at("fast").as_bool());
-    EXPECT_FALSE(plain.at("batch_eval").as_bool());
     EXPECT_FALSE(plain.at("banded_lu").as_bool());
     EXPECT_EQ(plain.at("lockstep_width").as_int64(), 1);
 
@@ -256,7 +255,6 @@ TEST(ServiceRuntime, KernelNodeReportsConfigAndCounters) {
     // the *resolved* dispatch (so it honors STSENSE_SIMD and the CPU).
     const Json before = kernel_of(2, 1);
     EXPECT_TRUE(before.at("fast").as_bool());
-    EXPECT_TRUE(before.at("batch_eval").as_bool());
     EXPECT_TRUE(before.at("banded_lu").as_bool());
     EXPECT_TRUE(before.at("reuse_lu").as_bool());
     EXPECT_EQ(before.at("lockstep_width").as_int64(), 8);

@@ -1,19 +1,25 @@
-// spice::DeviceBatch — the SoA population evaluator's parity contract:
-// every lane is bitwise-identical to phys::evaluate, the scalar and
-// AVX2 kernels are bitwise-identical to each other, and a transient run
-// on the batched assemble path reproduces the legacy per-device loop
-// bit for bit (including stamps addressed at driven nodes, which land
-// in the trash slots).
+// spice::DeviceBatch — the SoA population evaluator's contract: every
+// lane is bitwise-identical to phys::evaluate, the scalar and AVX2
+// kernels are bitwise-identical to each other, and the solves that run
+// through the batch reproduce, bit for bit, the per-device assembly
+// walk it replaced (including stamps addressed at driven nodes, which
+// land in the trash slots).
 #include "spice/device_batch.hpp"
 
+#include "exec/fault_injector.hpp"
 #include "phys/mosfet.hpp"
 #include "phys/technology.hpp"
+#include "ring/spice_ring.hpp"
 #include "spice/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace stsense::spice {
@@ -21,17 +27,6 @@ namespace {
 
 bool bits_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool traces_bitwise_equal(const Trace& a, const Trace& b) {
-    return a.time.size() == b.time.size() &&
-           a.value.size() == b.value.size() &&
-           (a.time.empty() ||
-            std::memcmp(a.time.data(), b.time.data(),
-                        a.time.size() * sizeof(double)) == 0) &&
-           (a.value.empty() ||
-            std::memcmp(a.value.data(), b.value.data(),
-                        a.value.size() * sizeof(double)) == 0);
 }
 
 /// Operating points covering every region and edge of the alpha-power
@@ -220,9 +215,35 @@ TEST(DeviceBatchSimd, ScalarAndAvx2KernelsBitwiseIdentical) {
     EXPECT_GT(vs.simd_groups, 0);
 }
 
-/// CMOS inverter with driven rails — the batched scatter must route the
-/// rail-addressed stamps into the trash slots and still reproduce the
-/// legacy assemble bit for bit.
+// --- DeviceBatchGolden -----------------------------------------------------
+//
+// Every solve assembles its device stamps through the batch: DC, the
+// recovery-ladder rungs, and default-kernel and bypass-only transients.
+// The digests below were captured from the per-device assembly walk
+// that the batch replaced, so each test pins that the batch reproduces
+// those solves bit for bit. Tier 1 runs this suite under both lane
+// dispatches (the probed level and STSENSE_SIMD=scalar).
+
+/// 64-bit FNV-1a over the bit patterns of `values`, as 16 hex digits.
+std::string digest(const std::vector<double>& values) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const double v : values) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (bits >> (8 * byte)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+}
+
+std::string hex_bits(double v) { return digest({v}); }
+
+/// CMOS inverter with driven rails and a pulsed input: the batched
+/// scatter must route the rail-addressed stamps into the trash slots.
 struct InverterFixture {
     phys::Technology tech = phys::cmos350();
     Circuit c;
@@ -259,56 +280,175 @@ struct InverterFixture {
     }
 };
 
-TEST(DeviceBatchAssemble, TransientBitwiseMatchesLegacyLoop) {
-    const InverterFixture f;
-    Simulator legacy(f.c);
-    SimOptions batched_opt;
-    batched_opt.kernel.batch_eval = true;
-    Simulator batched(f.c, batched_opt);
+struct DcGolden {
+    const char* name;
+    RecoveryRung rung;
+    const char* volts;
+};
 
-    const auto a = legacy.transient(f.spec());
-    const auto b = batched.transient(f.spec());
-    EXPECT_TRUE(traces_bitwise_equal(a.trace("out"), b.trace("out")));
-    EXPECT_EQ(a.total_newton_iters, b.total_newton_iters);
-    EXPECT_EQ(a.device_evals, b.device_evals);
-    EXPECT_EQ(a.batch_lanes, 0);
-    EXPECT_GT(b.batch_lanes, 0);
+std::string dc_digest(const Circuit& c, SimOptions opt, RecoveryRung& rung) {
+    Simulator sim(c, opt);
+    const auto r = sim.try_dc_operating_point();
+    EXPECT_TRUE(r.ok()) << r.error().to_string();
+    rung = sim.last_dc_rung();
+    return r.ok() ? digest(r.value()) : "";
 }
 
-TEST(DeviceBatchAssemble, BypassDecisionsMatchLegacyBitwise) {
-    const InverterFixture f;
-    SimOptions legacy_opt;
-    legacy_opt.kernel.bypass_tol_v = 5e-4;
-    Simulator legacy(f.c, legacy_opt);
-    SimOptions batched_opt = legacy_opt;
-    batched_opt.kernel.batch_eval = true;
-    Simulator batched(f.c, batched_opt);
+TEST(DeviceBatchGolden, DcOperatingPointsFromAFlatStart) {
+    const auto tech = phys::cmos350();
+    const std::vector<std::pair<std::string, ring::RingConfig>> rings = {
+        {"5xINV", ring::RingConfig::uniform(cells::CellKind::Inv, 5)},
+        {"2xINV + 3xNAND2",
+         ring::RingConfig::mix({{cells::CellKind::Inv, 2}, {cells::CellKind::Nand2, 3}})},
+        {"2xINV + 3xNOR2",
+         ring::RingConfig::mix({{cells::CellKind::Inv, 2}, {cells::CellKind::Nor2, 3}})},
+    };
+    const DcGolden want[] = {
+        {"inverter", RecoveryRung::None, "3d9e9e3fddd53b0e"},
+        {"5xINV", RecoveryRung::None, "8d1b9c2fcc893e01"},
+        {"2xINV + 3xNAND2", RecoveryRung::None, "af6fcacbc6bb111b"},
+        {"2xINV + 3xNOR2", RecoveryRung::None, "d920320dfd97c24f"},
+        {"5xINV @ 398.15 K", RecoveryRung::None, "2c0ad69a2d349672"},
+    };
 
-    const auto a = legacy.transient(f.spec());
-    const auto b = batched.transient(f.spec());
-    EXPECT_TRUE(traces_bitwise_equal(a.trace("out"), b.trace("out")));
-    EXPECT_EQ(a.total_newton_iters, b.total_newton_iters);
-    EXPECT_EQ(a.bypass_hits, b.bypass_hits);
-    EXPECT_EQ(a.device_evals, b.device_evals);
-    EXPECT_GT(b.bypass_hits, 0);
+    std::vector<std::pair<std::string, Circuit>> circuits;
+    circuits.reserve(std::size(want)); // The last entry copies circuits[1].
+    circuits.emplace_back("inverter", InverterFixture().c);
+    for (const auto& [name, cfg] : rings) {
+        Circuit c;
+        ring::SpiceRingModel(tech, cfg).build(c);
+        circuits.emplace_back(name, std::move(c));
+    }
+    circuits.emplace_back("5xINV @ 398.15 K", circuits[1].second);
+
+    ASSERT_EQ(circuits.size(), std::size(want));
+    for (std::size_t i = 0; i < circuits.size(); ++i) {
+        SCOPED_TRACE(circuits[i].first);
+        SimOptions opt;
+        if (i + 1 == circuits.size()) opt.temp_k = 398.15;
+        RecoveryRung rung = RecoveryRung::None;
+        EXPECT_EQ(dc_digest(circuits[i].second, opt, rung), want[i].volts);
+        EXPECT_EQ(rung, want[i].rung);
+    }
 }
 
-TEST(DeviceBatchAssemble, PowerMeteringBitwiseMatchesLegacy) {
+struct TransientGolden {
+    const char* trace;
+    long newton_iters;
+    long device_evals;
+    long bypass_hits;
+};
+
+void expect_transient(const TransientResult& r, const TransientGolden& want) {
+    EXPECT_EQ(digest(r.trace("out").value), want.trace);
+    EXPECT_EQ(r.total_newton_iters, want.newton_iters);
+    EXPECT_EQ(r.device_evals, want.device_evals);
+    EXPECT_EQ(r.bypass_hits, want.bypass_hits);
+}
+
+TEST(DeviceBatchGolden, DefaultKernelTransient) {
     const InverterFixture f;
-    Simulator legacy(f.c);
-    SimOptions batched_opt;
-    batched_opt.kernel.batch_eval = true;
-    Simulator batched(f.c, batched_opt);
+    Simulator sim(f.c);
+    const auto r = sim.transient(f.spec());
+    expect_transient(r, {"c6b4b155ae50a0dd", 2036, 4072, 0});
+    EXPECT_GT(r.batch_lanes, 0);
+}
+
+TEST(DeviceBatchGolden, BypassOnlyTransient) {
+    const InverterFixture f;
+    SimOptions opt;
+    opt.kernel.bypass_tol_v = 5e-4;
+    Simulator sim(f.c, opt);
+    expect_transient(sim.transient(f.spec()), {"ade6d08fc9d6e1d0", 2036, 1074, 2998});
+}
+
+TEST(DeviceBatchGolden, MeteredTransientSupplyEnergy) {
+    const InverterFixture f;
     TransientSpec spec = f.spec();
     spec.measure_power = true;
+    Simulator sim(f.c);
+    const auto r = sim.transient(spec);
+    ASSERT_FALSE(r.source_energy_j.empty());
+    EXPECT_EQ(hex_bits(r.source_energy_j[f.c.node_by_name("vdd").index]),
+              "df03dd820771604b");
+    EXPECT_EQ(digest(r.trace("out").value), "c6b4b155ae50a0dd");
+}
 
-    const auto a = legacy.transient(spec);
-    const auto b = batched.transient(spec);
-    const NodeId vdd = f.c.node_by_name("vdd");
-    ASSERT_FALSE(a.source_energy_j.empty());
-    ASSERT_FALSE(b.source_energy_j.empty());
-    EXPECT_TRUE(bits_equal(a.source_energy_j[vdd.index],
-                           b.source_energy_j[vdd.index]));
+exec::FaultInjector::Config newton_fail(double p, int rungs) {
+    exec::FaultInjector::Config cfg;
+    cfg.seed = 3;
+    cfg.p_newton_fail = p;
+    cfg.newton_fail_rungs = rungs;
+    return cfg;
+}
+
+TEST(DeviceBatchGolden, RecoveryLadderDcRescues) {
+    // The inverter at mid-rail input (both devices saturated), with the
+    // shallower rungs sabotaged so the damped, gmin and source rungs
+    // each produce the answer.
+    const auto tech = phys::cmos350();
+    Circuit c;
+    const NodeId vdd = c.add_driven_node("vdd", Source::dc(tech.vdd));
+    const NodeId in = c.add_driven_node("in", Source::dc(0.5 * tech.vdd));
+    const NodeId out = c.add_node("out");
+    c.add_mosfet({out, in, c.ground(), tech.nmos, {1e-6, tech.lmin}});
+    c.add_mosfet({out, in, vdd, tech.pmos, {2e-6, tech.lmin}});
+
+    const DcGolden want[] = {
+        {"damped", RecoveryRung::DampedNewton, "276e01c8aa771453"},
+        {"gmin", RecoveryRung::GminStepping, "7d6756f6ed52e05e"},
+        {"source", RecoveryRung::SourceStepping, "276e01c8aa771453"},
+    };
+    for (int rungs = 1; rungs <= 3; ++rungs) {
+        SCOPED_TRACE(want[rungs - 1].name);
+        exec::FaultInjector inj(newton_fail(1.0, rungs));
+        exec::FaultInjector::Scope scope(inj);
+        RecoveryRung rung = RecoveryRung::None;
+        EXPECT_EQ(dc_digest(c, SimOptions{}, rung), want[rungs - 1].volts);
+        EXPECT_EQ(rung, want[rungs - 1].rung);
+    }
+}
+
+TEST(DeviceBatchGolden, RecoveryLadderTransientRescues) {
+    // A fifth of the inverter's steps sabotaged: one rung deep the
+    // damped rung rescues them, two deep the gmin rung does.
+    const InverterFixture f;
+    const struct {
+        RecoveryRung rung;
+        TransientGolden run;
+        long rescued;
+    } want[] = {
+        {RecoveryRung::DampedNewton, {"a83dd7c6be8aad26", 2084, 4168, 0}, 241},
+        {RecoveryRung::GminStepping, {"4c2ba9f80acc1185", 5182, 10364, 0}, 241},
+    };
+    for (int rungs = 1; rungs <= 2; ++rungs) {
+        SCOPED_TRACE("rungs " + std::to_string(rungs));
+        exec::FaultInjector inj(newton_fail(0.2, rungs));
+        exec::FaultInjector::Scope scope(inj);
+        Simulator sim(f.c);
+        const auto r = sim.try_transient(f.spec());
+        ASSERT_TRUE(r.ok()) << r.error().to_string();
+        EXPECT_EQ(r.value().deepest_rung, want[rungs - 1].rung);
+        EXPECT_EQ(r.value().rescued_steps, want[rungs - 1].rescued);
+        expect_transient(r.value(), want[rungs - 1].run);
+    }
+}
+
+TEST(DeviceBatchGolden, RecoveryLadderTransientRescuesUnderTheFastKernel) {
+    // Ladder rungs solve one-shot and keep no factorization: were the
+    // next base attempt to reuse a rung's LU, these bits would move.
+    const InverterFixture f;
+    exec::FaultInjector inj(newton_fail(0.2, 1));
+    exec::FaultInjector::Scope scope(inj);
+    SimOptions opt;
+    opt.kernel = TransientOptions::fast();
+    Simulator sim(f.c, opt);
+    const auto r = sim.try_transient(f.spec());
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_EQ(r.value().deepest_rung, RecoveryRung::DampedNewton);
+    EXPECT_EQ(r.value().rescued_steps, 241);
+    expect_transient(r.value(), {"7ca16aab33929fe8", 2226, 1870, 2582});
+    EXPECT_EQ(r.value().lu_reuses, 1382);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 // groups, which must hold that parity at every pool shape.
 #include "spice/lockstep.hpp"
 
+#include "exec/cancel.hpp"
 #include "exec/fault_injector.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
@@ -18,8 +19,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -126,7 +129,6 @@ TEST(LockStep, BitwiseMatchesSoloWithFastKernelKnobs) {
     k.reuse_lu = true;
     k.reuse_stall_ratio = 0.9;
     k.bypass_tol_v = 5e-4;
-    k.batch_eval = true;
     expect_lockstep_matches_solo(k);
 }
 
@@ -174,15 +176,55 @@ TEST(LockStep, ValidatesArguments) {
     EXPECT_THROW(run_lockstep(f.c, opts, one_spec), std::invalid_argument);
     EXPECT_THROW(run_lockstep(f.c, {}, {}), std::invalid_argument);
 
-    TransientOptions adaptive;
-    adaptive.adaptive = true;
-    const auto bad_opts = options_at({300.0, 320.0}, adaptive);
+    // The solo run's spec checks, initial conditions included.
     std::vector<TransientSpec> specs(2, f.spec());
-    EXPECT_THROW(run_lockstep(f.c, bad_opts, specs), std::invalid_argument);
+    specs[1].initial_conditions.emplace_back(f.in, 0.0); // A driven node.
+    EXPECT_THROW(run_lockstep(f.c, opts, specs), std::invalid_argument);
+    specs[1] = f.spec();
+    specs[1].record_stride = 0;
+    EXPECT_THROW(run_lockstep(f.c, opts, specs), std::invalid_argument);
 
+    specs[1] = f.spec();
     const std::vector<std::uint64_t> short_ctx = {1};
     EXPECT_THROW(run_lockstep(f.c, opts, specs, short_ctx),
                  std::invalid_argument);
+}
+
+TEST(LockStep, CancelledPointFailsCancelledLikeTheSoloRun) {
+    // The ambient token fires from stop_when after step 100, so the next
+    // step's first Newton iteration sees it. Both drivers must stop with
+    // the typed cause at that step's time, without a rescue attempt,
+    // and say the time in the message. run_lockstep's callers (unlike a
+    // sweep, which re-polls the token) see only this error.
+    const InverterFixture f;
+    const auto opts = options_at({300.0});
+    const auto run = [&](bool lockstep) {
+        const exec::CancelToken token = exec::CancelToken::make();
+        const exec::CancelScope scope(token);
+        TransientSpec spec = f.spec();
+        int seen = 0;
+        spec.stop_when = [token, seen](double,
+                                       const std::vector<double>&) mutable {
+            if (++seen == 100) token.cancel();
+            return false;
+        };
+        if (!lockstep) return Simulator(f.c, opts[0]).try_transient(spec);
+        auto out = run_lockstep(f.c, opts, std::span(&spec, 1));
+        return std::move(out.front());
+    };
+    const auto solo = run(false);
+    const auto lock = run(true);
+    ASSERT_FALSE(solo.ok());
+    ASSERT_FALSE(lock.ok());
+    EXPECT_EQ(solo.error().kind, SimErrorKind::Cancelled);
+    EXPECT_EQ(lock.error().kind, SimErrorKind::Cancelled);
+    EXPECT_TRUE(bits_equal(solo.error().time_s, lock.error().time_s));
+    EXPECT_NEAR(solo.error().time_s, 100 * f.spec().dt, 1e-3 * f.spec().dt);
+    char when[32];
+    std::snprintf(when, sizeof when, "t = %g", solo.error().time_s);
+    EXPECT_NE(solo.error().message.find(when), std::string::npos)
+        << solo.error().message;
+    EXPECT_EQ(solo.error().message, lock.error().message);
 }
 
 ring::SpiceRingOptions small_ring_options() {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace stsense::spice {
@@ -88,6 +89,55 @@ TEST_P(RcChargeTest, MatchesClosedForm) {
     }
     // Settles to the step level.
     EXPECT_NEAR(tr.value.back(), vstep, 0.02);
+}
+
+TEST_P(RcChargeTest, ErrorFallsAtTheIntegratorsOrder) {
+    // The same step response at dt = tau/25 ... tau/400: each halving of
+    // dt must cut the worst error over 5 tau by 2^p, p the rule's order
+    // (trapezoidal 2, backward Euler 1). The first step is always
+    // backward Euler, whose O(dt^2) local error does not lower the
+    // trapezoidal run's global order.
+    const double r = 1e3;
+    const double cap = 1e-12;
+    const double tau = r * cap;
+    const double vstep = 2.0;
+
+    Circuit c;
+    const NodeId src = c.add_driven_node("src", Source::step(0.0, vstep, 0.0));
+    const NodeId out = c.add_node("out");
+    c.add_resistor(src, out, r);
+    c.add_capacitor(out, c.ground(), cap);
+
+    const auto max_error = [&](int steps_per_tau) {
+        SimOptions opt;
+        opt.integrator = GetParam();
+        Simulator sim(c, opt);
+        TransientSpec spec;
+        spec.t_stop = 5.0 * tau;
+        spec.dt = tau / steps_per_tau;
+        spec.start_from_dc = true;
+        spec.probes = {out};
+        const auto res = sim.transient(spec);
+        const Trace& tr = res.trace("out");
+        double err = 0.0;
+        for (std::size_t i = 0; i < tr.size(); ++i) {
+            const double expected = vstep * (1.0 - std::exp(-tr.time[i] / tau));
+            err = std::max(err, std::abs(tr.value[i] - expected));
+        }
+        return err;
+    };
+
+    const bool trap = GetParam() == Integrator::Trapezoidal;
+    const double lo = trap ? 3.5 : 1.8;
+    const double hi = trap ? 4.5 : 2.2;
+    double coarse = max_error(25);
+    for (int steps_per_tau = 50; steps_per_tau <= 400; steps_per_tau *= 2) {
+        const double fine = max_error(steps_per_tau);
+        const double ratio = coarse / fine;
+        EXPECT_GE(ratio, lo) << "dt = tau/" << steps_per_tau;
+        EXPECT_LE(ratio, hi) << "dt = tau/" << steps_per_tau;
+        coarse = fine;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Integrators, RcChargeTest,

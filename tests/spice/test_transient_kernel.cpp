@@ -1,7 +1,7 @@
 // The fast transient kernel (TransientOptions): LU reuse, device
-// bypass, adaptive stepping, and the stop_when early exit. The
-// overriding contract under test: every fast feature is opt-in, and the
-// default options reproduce the classic engine bit for bit.
+// bypass, and the stop_when early exit. The overriding contract under
+// test: every fast feature is opt-in, and the default options
+// reproduce the classic engine bit for bit.
 #include "spice/simulator.hpp"
 
 #include "phys/technology.hpp"
@@ -102,37 +102,20 @@ TEST(KernelOptions, Validation) {
     EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
 
     opt = {};
-    opt.kernel.adaptive = true;
-    opt.kernel.lte_rel_tol = 0.0;
+    opt.kernel.reuse_stall_ratio = 0.0;
     EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
 
     opt = {};
-    opt.kernel.adaptive = true;
-    opt.kernel.dt_min_factor = 0.0;
+    opt.kernel.lockstep_width = 0;
     EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
-
-    opt = {};
-    opt.kernel.adaptive = true;
-    opt.kernel.dt_max_factor = 0.5;
-    EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
-
-    opt = {};
-    opt.kernel.adaptive = true;
-    opt.kernel.dt_shrink = 1.0;
-    EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
-
-    // A disabled adaptive mode does not validate the adaptive knobs.
-    opt = {};
-    opt.kernel.adaptive = false;
-    opt.kernel.lte_rel_tol = 0.0;
-    EXPECT_NO_THROW(Simulator(f.c, opt));
 }
 
 TEST(KernelDefaults, AllFastFeaturesOff) {
     const TransientOptions def;
     EXPECT_FALSE(def.reuse_lu);
     EXPECT_DOUBLE_EQ(def.bypass_tol_v, 0.0);
-    EXPECT_FALSE(def.adaptive);
+    EXPECT_FALSE(def.banded_lu);
+    EXPECT_EQ(def.lockstep_width, 1);
 }
 
 TEST(KernelDefaults, DefaultRunBitwiseStableAcrossInstances) {
@@ -146,7 +129,6 @@ TEST(KernelDefaults, DefaultRunBitwiseStableAcrossInstances) {
     EXPECT_FALSE(res_a.early_exit);
     EXPECT_EQ(res_a.lu_reuses, 0);
     EXPECT_EQ(res_a.bypass_hits, 0);
-    EXPECT_EQ(res_a.steps_rejected, 0);
     EXPECT_GT(res_a.lu_refactors, 0);
     EXPECT_GT(res_a.device_evals, 0);
 }
@@ -215,40 +197,6 @@ TEST(DeviceBypass, SkipsQuietEvaluationsWithinTolerance) {
     }
 }
 
-TEST(AdaptiveStepping, RcStepMatchesClosedFormWithFewerSteps) {
-    const RcFixture f;
-    SimOptions opt;
-    opt.kernel.adaptive = true;
-    opt.kernel.dt_max_factor = 8.0;
-    Simulator sim(f.c, opt);
-    Simulator fixed(f.c);
-
-    const auto res = sim.transient(f.spec());
-    const auto res_fixed = fixed.transient(f.spec());
-
-    EXPECT_FALSE(res.early_exit);
-    EXPECT_NEAR(res.t_end, f.spec().t_stop, 1e-12 * f.spec().t_stop);
-    // The settled exponential tail lets the controller grow the step.
-    EXPECT_LT(res.steps_taken, res_fixed.steps_taken);
-    // Every accepted sample still tracks v(t) = V (1 - exp(-t/tau)).
-    const Trace& tr = res.trace("out");
-    for (std::size_t i = 0; i < tr.time.size(); ++i) {
-        const double expect = 2.0 * (1.0 - std::exp(-tr.time[i] / RcFixture::tau));
-        EXPECT_NEAR(tr.value[i], expect, 2.5e-2) << "t=" << tr.time[i];
-    }
-}
-
-TEST(AdaptiveStepping, TightToleranceRejectsAndRecovers) {
-    const InverterFixture f;
-    SimOptions opt;
-    opt.kernel.adaptive = true;
-    opt.kernel.lte_rel_tol = 1e-6; // Deliberately unachievable at base dt.
-    Simulator sim(f.c, opt);
-    const auto res = sim.transient(f.spec());
-    EXPECT_GT(res.steps_rejected, 0);
-    EXPECT_NEAR(res.t_end, f.spec().t_stop, 1e-12 * f.spec().t_stop);
-}
-
 TEST(StopWhen, FixedStepEarlyExitTruncatesRun) {
     const RcFixture f;
     Simulator sim(f.c);
@@ -290,21 +238,6 @@ TEST(StopWhen, TruncatedTraceIsPrefixOfFullTrace) {
         ASSERT_EQ(a.time[i], b.time[i]) << "sample " << i;
         ASSERT_EQ(a.value[i], b.value[i]) << "sample " << i;
     }
-}
-
-TEST(StopWhen, AdaptiveEarlyExitStops) {
-    const RcFixture f;
-    SimOptions opt;
-    opt.kernel.adaptive = true;
-    Simulator sim(f.c, opt);
-    TransientSpec spec = f.spec();
-    spec.stop_when = [&](double, const std::vector<double>& v) {
-        return v[f.out.index] >= 1.0;
-    };
-    const auto res = sim.transient(spec);
-    EXPECT_TRUE(res.early_exit);
-    EXPECT_LT(res.t_end, spec.t_stop);
-    EXPECT_DOUBLE_EQ(res.trace("out").time.back(), res.t_end);
 }
 
 TEST(FastPreset, CombinedFeaturesStayAccurate) {
