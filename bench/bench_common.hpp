@@ -6,6 +6,7 @@
 
 #include "util/table.hpp"
 
+#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,6 +18,16 @@ inline void banner(const std::string& id, const std::string& title) {
     std::cout << "================================================================\n"
               << id << " — " << title << "\n"
               << "================================================================\n";
+}
+
+/// Wall time [s] of one call of `f`. Snapshots report it; no shape
+/// check gates on it (the host's timing noise is too large for that).
+template <class F>
+double wall_seconds(F&& f) {
+    const auto start = std::chrono::steady_clock::now();
+    f();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+        .count();
 }
 
 /// Collects named boolean claims and renders the PASS/FAIL summary.

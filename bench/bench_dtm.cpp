@@ -11,7 +11,9 @@
 //   $ ./bench/bench_dtm [--quick] [--chaos] [--json=BENCH_dtm.json]
 //
 // `--chaos` adds the fault-scenario matrix (the tier-1 stage runs it
-// with a pinned STSENSE_FAULT_SEED). Writes BENCH_dtm.json.
+// with a pinned STSENSE_FAULT_SEED). Writes BENCH_dtm.json, including the
+// (ungated) wall time of the supervised fleet's tune and of one
+// fault-free run.
 #include "bench_common.hpp"
 
 #include "dtm/fleet.hpp"
@@ -116,9 +118,11 @@ int main(int argc, char** argv) {
     // ---- fault-free: control quality + supervision parity --------------
     auto fleet_sup = make_fleet(quick, true);
     auto fleet_raw = make_fleet(quick, false);
-    fleet_sup.tune();
+    const double tune_wall_s = bench::wall_seconds([&] { fleet_sup.tune(); });
     fleet_raw.tune();
-    const auto clean_sup = fleet_sup.run();
+    dtm::FleetResult clean_sup;
+    const double run_wall_s =
+        bench::wall_seconds([&] { clean_sup = fleet_sup.run(); });
     const auto clean_raw = fleet_raw.run();
 
     std::size_t parity_mismatches = 0;
@@ -173,6 +177,9 @@ int main(int argc, char** argv) {
         recovery_steps * control_options(quick, true).control_dt_s();
     std::cout << "ladder recovery latency (6 faulted steps, then clean): "
               << recovery_steps << " steps = " << util::fixed(1e3 * recovery_s, 0)
+              << " ms\n";
+    std::cout << "wall time (not gated): tune " << util::fixed(1e3 * tune_wall_s, 1)
+              << " ms, one fault-free run " << util::fixed(1e3 * run_wall_s, 1)
               << " ms\n";
 
     checks.expect("fault-free supervised run is bitwise the unsupervised run",
@@ -328,6 +335,8 @@ int main(int argc, char** argv) {
                  << "\"peak_raw_c\": " << rows[i].peak_raw_c << "}";
         }
         json << (rows.empty() ? "" : "\n  ") << "],\n"
+             << "  \"tune_wall_s\": " << tune_wall_s << ",\n"
+             << "  \"run_wall_s\": " << run_wall_s << ",\n"
              << "  \"metrics\": " << exec::MetricsRegistry::global().to_json()
              << "\n"
              << "}\n";

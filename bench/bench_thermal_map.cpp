@@ -8,7 +8,9 @@
 // scanned repeatedly under the SiteHealth supervisor. The gates prove a
 // faulty fleet still yields a complete, flagged, bounded-error map and
 // that the fault-free resilient path is bitwise the legacy path.
-// Writes BENCH_thermal_map.json. `--quick` shrinks the thermal grid.
+// Writes BENCH_thermal_map.json, including the (ungated) wall time of one
+// fault-free scan() (steady-state solve + readout). `--quick` shrinks the
+// thermal grid.
 #include "bench_common.hpp"
 
 #include "exec/fault_injector.hpp"
@@ -43,8 +45,9 @@ int run_degraded(const util::Cli& cli, const phys::Technology& tech,
     // with the legacy scan bit for bit — resilience is free until used.
     sensor::MonitorConfig legacy_cfg = cfg;
     legacy_cfg.enable_health = false;
-    const auto legacy =
-        sensor::ThermalMonitor(tech, ring_cfg, fp, sites, legacy_cfg).scan();
+    const sensor::ThermalMonitor legacy_mon(tech, ring_cfg, fp, sites, legacy_cfg);
+    sensor::MapResult legacy;
+    const double scan_wall_s = bench::wall_seconds([&] { legacy = legacy_mon.scan(); });
     const auto clean =
         sensor::ThermalMonitor(tech, ring_cfg, fp, sites, cfg).scan();
     std::size_t clean_mismatches = 0;
@@ -108,6 +111,8 @@ int run_degraded(const util::Cli& cli, const phys::Technology& tech,
               << " interpolated (max |err| "
               << util::fixed(map.max_interp_error_c, 2) << " degC) | "
               << watchdog_total << " watchdog aborts\n";
+    std::cout << "wall time (not gated): fault-free steady-state solve + scan "
+              << util::fixed(1e3 * scan_wall_s, 2) << " ms\n";
 
     const std::string json_path =
         cli.get("json", std::string("BENCH_thermal_map.json"));
@@ -129,6 +134,7 @@ int run_degraded(const util::Cli& cli, const phys::Technology& tech,
              << "  \"healthy_max_abs_error_c\": " << healthy_max_err << ",\n"
              << "  \"watchdog_trips\": " << watchdog_total << ",\n"
              << "  \"readout_retries\": " << map.readout_retries << ",\n"
+             << "  \"scan_wall_s\": " << scan_wall_s << ",\n"
              << "  \"metrics\": " << exec::MetricsRegistry::global().to_json()
              << "\n"
              << "}\n";
@@ -185,7 +191,8 @@ int main(int argc, char** argv) {
     const sensor::ThermalMonitor mon(
         tech, ring::RingConfig::uniform(cells::CellKind::Inv, 5, 2.75), fp, sites,
         cfg);
-    const auto map = mon.scan();
+    sensor::MapResult map;
+    const double scan_wall_s = bench::wall_seconds([&] { map = mon.scan(); });
 
     util::Table table({"sensor", "x (mm)", "y (mm)", "true (degC)",
                        "measured (degC)", "error (degC)", "code"});
@@ -201,6 +208,8 @@ int main(int argc, char** argv) {
               << " degC | rms err " << util::fixed(map.rms_error_c, 3)
               << " degC | full mux scan " << util::fixed(map.scan_time_s * 1e6, 1)
               << " us\n";
+    std::cout << "wall time (not gated): steady-state solve + scan "
+              << util::fixed(1e3 * scan_wall_s, 2) << " ms\n";
     std::cout << "over-temperature alarm (trip "
               << util::fixed(cfg.alarm_threshold_c, 1) << " degC): "
               << (map.alarm ? "LATCHED by site " + map.alarm_site

@@ -150,7 +150,8 @@ cmake --build "$repo/build-tsan" --target stsense_tests -j "$jobs"
     --gtest_filter='ThreadPool*:TaskGroup*:ResultCache*:Metrics*:Fingerprint*:ExecDeterminism*:TemperatureSweep*:PaperSweep*:Variation*:FaultInjector*:SweepFaultPolicy*:Tracer*:TraceParity*:Service*:DtmService*:CancelToken*:CancelScope*:OptimizerCancel*:Population*:VariationStream*'
 
 echo "== tier 1: whole suite under AddressSanitizer + UBSan =="
-# STSENSE_SANITIZE=address builds with -fsanitize=address,undefined.
+# STSENSE_SANITIZE=address builds with -fsanitize=address,undefined and
+# -fno-sanitize-recover=undefined, so a UB report fails the run.
 cmake -B "$repo/build-asan" -S "$repo" -DSTSENSE_SANITIZE=address
 cmake --build "$repo/build-asan" --target stsense_tests -j "$jobs"
 # Every suite, not a hand-kept filter (which went stale with each new
@@ -158,7 +159,7 @@ cmake --build "$repo/build-asan" --target stsense_tests -j "$jobs"
 # partial results, the kernel's batched evaluator scatters through
 # precomputed flat offsets, and the service, DTM and cancellation
 # layers tear down mid-flight — ASan gates them all for leaks,
-# overflows and use-after-free, and UBSan reports undefined arithmetic.
+# overflows and use-after-free, and UBSan fails on undefined arithmetic.
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 
 echo "tier 1: all gates passed"

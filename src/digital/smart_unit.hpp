@@ -12,10 +12,15 @@
 // The model ticks in the reference-clock domain; the selected
 // oscillator's (real-valued) period is supplied by a callback so the
 // sensor layer can bind it to ring physics, thermal state and noise.
+// The blocking helpers advance the same FSM by events rather than one
+// tick() call per cycle: SETTLE in one step, COUNT in a tight loop of
+// the per-cycle phase additions. Codes and cycle counters are the ones
+// ticking produces, cycle for cycle.
 #pragma once
 
 #include "digital/period_counter.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -71,8 +76,11 @@ inline constexpr std::uint32_t kStatusAlarmChShift = 8; ///< Bits 15:8: first al
 
 class SmartUnit {
 public:
-    /// Returns the selected channel's oscillation period [s] at the
-    /// current instant; called while the oscillator is enabled.
+    /// Returns the selected channel's oscillation period [s]. It must be
+    /// constant over a measurement: the unit samples it once per run of
+    /// COUNT cycles (once per measurement in the blocking helpers, once
+    /// per cycle under tick()), not on every cycle. Every provider in
+    /// the library returns a period fixed before the measurement starts.
     using PeriodProvider = std::function<double(int channel)>;
 
     SmartUnit(SmartUnitConfig config, PeriodProvider provider);
@@ -84,7 +92,7 @@ public:
     std::uint32_t read(std::uint32_t addr) const;
 
     /// Advances one reference-clock cycle.
-    void tick();
+    void tick() { advance(1); }
 
     // Convenience views over the registers.
     bool busy() const { return state_ == UnitState::Settle || state_ == UnitState::Count; }
@@ -143,9 +151,19 @@ public:
     void scan_all_blocking(std::uint64_t max_cycles = 1u << 28);
 
 private:
+    /// Advances up to `max_cycles` cycles and returns the number taken.
+    /// Stops early right after a cycle that ends a measurement
+    /// (completed or watchdog-aborted): the only instants at which a
+    /// blocking helper's exit condition can change.
+    std::uint64_t advance(std::uint64_t max_cycles);
+    /// Advances until `reached()` holds, as a loop testing it after
+    /// every cycle would; false when `max_cycles` run out first.
+    template <class Pred>
+    bool run_until(std::uint64_t max_cycles, Pred reached);
     void start_measurement();
     void finish_measurement();
     void abort_measurement();
+    void mark_attempted(std::size_t channel);
 
     SmartUnitConfig config_;
     PeriodProvider provider_;
@@ -164,11 +182,11 @@ private:
     std::uint32_t ref_count_ = 0;  ///< Ref cycles counted in COUNT.
 
     std::vector<std::uint32_t> channel_data_;
-    std::vector<char> channel_valid_;
-    /// Channel visited this scan epoch (completed *or* watchdog-aborted);
-    /// the scan terminates on all-attempted so one stuck channel cannot
-    /// hang scan_all_blocking.
+    /// Channel visited (completed *or* watchdog-aborted); the scan
+    /// terminates on all-attempted so one stuck channel cannot hang
+    /// scan_all_blocking.
     std::vector<char> channel_attempted_;
+    std::size_t channels_attempted_ = 0; ///< Set entries of channel_attempted_.
     std::vector<char> channel_timed_out_;
     std::uint64_t measurements_done_ = 0;
     std::uint64_t meas_cycles_ = 0; ///< Ref cycles in the current measurement.

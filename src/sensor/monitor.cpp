@@ -1,8 +1,8 @@
 #include "sensor/monitor.hpp"
 
+#include "exec/cancel.hpp"
 #include "exec/fault_injector.hpp"
 #include "exec/metrics.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "phys/units.hpp"
 
@@ -69,8 +69,9 @@ ThermalMonitor::ThermalMonitor(const phys::Technology& tech,
             "ThermalMonitor: sites * redundancy exceeds the 256-channel mux");
     }
     for (const auto& s : sites_) {
-        if (s.x < 0.0 || s.x > floorplan_.die_width() || s.y < 0.0 ||
-            s.y > floorplan_.die_height()) {
+        // Written to fail on NaN: a NaN coordinate is off every die.
+        if (!(s.x >= 0.0 && s.x <= floorplan_.die_width() && s.y >= 0.0 &&
+              s.y <= floorplan_.die_height())) {
             throw std::invalid_argument("ThermalMonitor: site '" + s.name +
                                         "' off die");
         }
@@ -78,9 +79,7 @@ ThermalMonitor::ThermalMonitor(const phys::Technology& tech,
     sensor_.calibrate_two_point(config_.cal_low_c, config_.cal_high_c);
 
     if (config_.enable_mismatch) {
-        // Mismatch sampling consumes the shared Rng in site order and
-        // stays serial so the drawn configurations are independent of
-        // any parallelism below.
+        // Mismatch sampling consumes the shared Rng in site order.
         util::Rng rng(config_.mismatch_seed);
         site_sensors_.reserve(sites_.size());
         for (std::size_t i = 0; i < sites_.size(); ++i) {
@@ -90,15 +89,11 @@ ThermalMonitor::ThermalMonitor(const phys::Technology& tech,
                                        config_.sensor_options);
         }
         if (config_.individual_calibration) {
-            // Per-site factory trims are independent of each other: fan
-            // them out (each mutates only its own sensor).
-            exec::ThreadPool::global().parallel_for(
-                site_sensors_.size(), 1, [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                        site_sensors_[i].calibrate_two_point(config_.cal_low_c,
-                                                             config_.cal_high_c);
-                    }
-                });
+            // Per-site factory trims: two blocking measurements each, too
+            // cheap to be worth a pool hop.
+            for (auto& sensor : site_sensors_) {
+                sensor.calibrate_two_point(config_.cal_low_c, config_.cal_high_c);
+            }
         }
     }
 
@@ -118,6 +113,11 @@ MapResult ThermalMonitor::scan_field(std::vector<double> temps_c) const {
     if (temps_c.size() != cells) {
         throw std::invalid_argument(
             "ThermalMonitor::scan_field: field size != grid_nx * grid_ny");
+    }
+    if (!std::all_of(temps_c.begin(), temps_c.end(),
+                     [](double t) { return std::isfinite(t); })) {
+        throw std::invalid_argument(
+            "ThermalMonitor::scan_field: non-finite temperature");
     }
     obs::Span span("sensor.scan");
     span.tag("mode", config_.enable_health ? "resilient" : "legacy");
@@ -148,9 +148,10 @@ MapResult ThermalMonitor::scan_legacy(std::vector<double> field_c) const {
     };
     // The physical rings oscillate simultaneously on the die; only the
     // readout is multiplexed. Model that by evaluating every site's
-    // period transducer in parallel up front (committed by site index —
-    // identical values at any thread count), then let the cycle-accurate
-    // unit scan the precomputed periods channel by channel.
+    // period transducer up front, committed by site index, then let the
+    // cycle-accurate unit scan the precomputed periods channel by
+    // channel. The loop runs on the calling thread: one transduction is
+    // well under a microsecond, far less than a pool fan-out costs.
     // A site is invalid when its transducer misbehaves (non-finite or
     // non-positive period — e.g. an extreme mismatch draw) or when the
     // fault injector kills it. The smart unit still needs a physical
@@ -162,27 +163,23 @@ MapResult ThermalMonitor::scan_legacy(std::vector<double> field_c) const {
     {
         const exec::ScopedTimer timer(
             exec::MetricsRegistry::global().timer("sensor.monitor.site_sample"));
-        exec::ThreadPool::global().parallel_for(
-            sites_.size(), 1, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    // Site boundaries are the scan's poll points.
-                    exec::CancelScope::current().check();
-                    exec::FaultContext ctx(i);
-                    const auto& s = site_sensor(i);
-                    double period = s.period_at(s.junction_at(site_true[i]));
-                    auto* injector = exec::FaultInjector::active();
-                    const bool injected =
-                        injector != nullptr &&
-                        injector->trip(exec::FaultInjector::Site::Point,
-                                       exec::FaultInjector::point_stream(i));
-                    if (injected || !std::isfinite(period) || period <= 0.0) {
-                        site_valid[i] = 0;
-                        period = sensor_.period_at(
-                            sensor_.junction_at(site_true[i]));
-                    }
-                    site_period[i] = period;
-                }
-            });
+        for (std::size_t i = 0; i < sites_.size(); ++i) {
+            // Site boundaries are the scan's poll points.
+            exec::CancelScope::current().check();
+            exec::FaultContext ctx(i);
+            const auto& s = site_sensor(i);
+            double period = s.period_at(s.junction_at(site_true[i]));
+            auto* injector = exec::FaultInjector::active();
+            const bool injected =
+                injector != nullptr &&
+                injector->trip(exec::FaultInjector::Site::Point,
+                               exec::FaultInjector::point_stream(i));
+            if (injected || !std::isfinite(period) || period <= 0.0) {
+                site_valid[i] = 0;
+                period = sensor_.period_at(sensor_.junction_at(site_true[i]));
+            }
+            site_period[i] = period;
+        }
     }
     digital::SmartUnit unit(unit_cfg, [&](int channel) {
         return site_period[static_cast<std::size_t>(channel)];
@@ -270,45 +267,40 @@ MapResult ThermalMonitor::scan_resilient(std::vector<double> field_c) const {
                    : sensor_;
     };
 
-    // Transduce every redundant ring in parallel (committed by global
-    // ring index g = site * reps + replica — identical at any thread
-    // count), applying the persistent hardware faults: a stuck ring
-    // outputs the injector's stuck period regardless of temperature, a
-    // drifted ring transduces an offset field (NaN offset = the ring
-    // stopped oscillating). The draws are keyed by g only — NOT by the
-    // scan epoch — so a ring that is stuck this scan is stuck every
-    // scan, like real silicon.
+    // Transduce every redundant ring up front on the calling thread
+    // (committed by global ring index g = site * reps + replica),
+    // applying the persistent hardware faults: a stuck ring outputs the
+    // injector's stuck period regardless of temperature, a drifted ring
+    // transduces an offset field (NaN offset = the ring stopped
+    // oscillating). The draws are keyed by g only — NOT by the scan
+    // epoch — so a ring that is stuck this scan is stuck every scan,
+    // like real silicon.
     std::vector<double> ring_period(n_rings);
     {
         const exec::ScopedTimer timer(mx.timer("sensor.monitor.site_sample"));
-        exec::ThreadPool::global().parallel_for(
-            n_rings, 1, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t g = begin; g < end; ++g) {
-                    // Ring boundaries are the resilient scan's poll
-                    // points.
-                    exec::CancelScope::current().check();
-                    obs::Span span("sensor.site.transduce");
-                    span.num("ring", static_cast<double>(g));
-                    const std::size_t i = g / reps;
-                    exec::FaultContext ctx(g);
-                    const auto& s = site_sensor(i);
-                    double period = s.period_at(s.junction_at(site_true[i]));
-                    if (auto* inj = exec::FaultInjector::active()) {
-                        const auto stream = exec::FaultInjector::point_stream(g);
-                        using Site = exec::FaultInjector::Site;
-                        if (inj->trip(Site::StuckOscillator, stream)) {
-                            period = inj->config().stuck_period_s;
-                        } else if (inj->trip(Site::DriftSite, stream)) {
-                            const double off = inj->config().drift_offset_c;
-                            period = std::isfinite(off)
-                                         ? s.period_at(s.junction_at(
-                                               site_true[i] + off))
-                                         : nan;
-                        }
-                    }
-                    ring_period[g] = period;
+        for (std::size_t g = 0; g < n_rings; ++g) {
+            // Ring boundaries are the resilient scan's poll points.
+            exec::CancelScope::current().check();
+            obs::Span span("sensor.site.transduce");
+            span.num("ring", static_cast<double>(g));
+            const std::size_t i = g / reps;
+            exec::FaultContext ctx(g);
+            const auto& s = site_sensor(i);
+            double period = s.period_at(s.junction_at(site_true[i]));
+            if (auto* inj = exec::FaultInjector::active()) {
+                const auto stream = exec::FaultInjector::point_stream(g);
+                using Site = exec::FaultInjector::Site;
+                if (inj->trip(Site::StuckOscillator, stream)) {
+                    period = inj->config().stuck_period_s;
+                } else if (inj->trip(Site::DriftSite, stream)) {
+                    const double off = inj->config().drift_offset_c;
+                    period = std::isfinite(off)
+                                 ? s.period_at(s.junction_at(site_true[i] + off))
+                                 : nan;
                 }
-            });
+            }
+            ring_period[g] = period;
+        }
     }
 
     // The cycle-accurate unit demands a positive finite period from its

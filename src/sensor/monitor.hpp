@@ -119,7 +119,8 @@ struct MapResult {
 class ThermalMonitor {
 public:
     /// All sensors share `ring_config` (identical layout macros) and the
-    /// factory calibration from `config`. Sites must be on the die.
+    /// factory calibration from `config`. Sites must be on the die (a
+    /// NaN coordinate is not); std::invalid_argument otherwise.
     ThermalMonitor(const phys::Technology& tech, ring::RingConfig ring_config,
                    thermal::Floorplan floorplan, std::vector<SensorSite> sites,
                    MonitorConfig config = {});
@@ -137,7 +138,7 @@ public:
     /// downstream of the field — readout, health ledger, quorum,
     /// interpolation — is the exact scan() code path, so scan() ==
     /// scan_field(steady_state) bitwise. Throws std::invalid_argument on
-    /// a size mismatch.
+    /// a size mismatch or a non-finite temperature.
     MapResult scan_field(std::vector<double> temps_c) const;
 
     const std::vector<SensorSite>& sites() const { return sites_; }

@@ -1,18 +1,26 @@
 #include "thermal/floorplan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace stsense::thermal {
 
 Floorplan::Floorplan(double die_width, double die_height)
     : width_(die_width), height_(die_height) {
-    if (die_width <= 0.0 || die_height <= 0.0) {
-        throw std::invalid_argument("Floorplan: die extents must be > 0");
+    if (!(std::isfinite(die_width) && die_width > 0.0) ||
+        !(std::isfinite(die_height) && die_height > 0.0)) {
+        throw std::invalid_argument("Floorplan: die extents must be finite and > 0");
     }
 }
 
 void Floorplan::add_block(Block block) {
+    if (!std::isfinite(block.x) || !std::isfinite(block.y) ||
+        !std::isfinite(block.width) || !std::isfinite(block.height) ||
+        !std::isfinite(block.power_w)) {
+        throw std::invalid_argument("Floorplan: block '" + block.name +
+                                    "' has a non-finite field");
+    }
     if (block.width <= 0.0 || block.height <= 0.0) {
         throw std::invalid_argument("Floorplan: block '" + block.name +
                                     "' must have positive area");

@@ -22,11 +22,12 @@ struct Block {
 /// Rectangular die with power-dissipating blocks.
 class Floorplan {
 public:
-    /// Die extents must be positive.
+    /// Die extents must be finite and positive.
     Floorplan(double die_width, double die_height);
 
-    /// Adds a block; must lie fully inside the die and have positive
-    /// area and non-negative power. Throws std::invalid_argument.
+    /// Adds a block; every field must be finite, and the block must lie
+    /// fully inside the die and have positive area and non-negative
+    /// power. Throws std::invalid_argument.
     void add_block(Block block);
 
     double die_width() const { return width_; }

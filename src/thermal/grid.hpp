@@ -35,7 +35,9 @@ struct SolveOptions {
 /// Steady-state and transient solver over an nx-by-ny cell grid.
 class ThermalGrid {
 public:
-    /// Grid of nx-by-ny cells covering width-by-height meters.
+    /// Grid of nx-by-ny cells covering width-by-height meters. Throws
+    /// std::invalid_argument unless the extents and every GridParams
+    /// field are finite (and the extents and material constants > 0).
     ThermalGrid(int nx, int ny, double width, double height,
                 GridParams params = {});
 
@@ -45,25 +47,32 @@ public:
 
     /// Steady-state temperature map [deg C] for the per-cell power map
     /// [W] (row-major, y slowest). Throws std::invalid_argument on size
-    /// mismatch and std::runtime_error on solver non-convergence.
+    /// mismatch or a non-finite power, and std::runtime_error on solver
+    /// non-convergence.
     std::vector<double> steady_state(std::span<const double> power_w,
                                      const SolveOptions& opt = {}) const;
 
     /// Advances `temps_c` by one implicit-Euler step of `dt` seconds
-    /// under the given power map (in place).
+    /// under the given power map (in place). Throws
+    /// std::invalid_argument on a size mismatch, a non-finite
+    /// temperature or power, or a dt that is not finite and > 0.
     void transient_step(std::vector<double>& temps_c,
                         std::span<const double> power_w, double dt,
                         const SolveOptions& opt = {}) const;
 
     /// Temperature at die coordinates (x, y) by bilinear interpolation
-    /// of the cell-center samples; clamps to the die.
+    /// of the cell-center samples; clamps to the die. Non-finite
+    /// coordinates throw std::invalid_argument.
     double sample(std::span<const double> temps_c, double x, double y) const;
 
-    /// Index of the cell containing (x, y).
+    /// Index of the cell containing (x, y), clamped to the die.
+    /// Non-finite coordinates throw std::invalid_argument.
     std::size_t cell_index(double x, double y) const;
 
 private:
-    /// Shared SOR kernel: solves (diag + G) T = rhs-form system.
+    /// Shared SOR kernel: solves (diag + G) T = rhs-form system. Rows are
+    /// swept as a skewed wavefront that reproduces the lexicographic
+    /// sweep bit for bit (see grid.cpp).
     std::vector<double> solve(std::span<const double> source,
                               std::span<const double> extra_diag,
                               std::span<const double> initial,

@@ -130,7 +130,8 @@ TEST(TaskGroup, RunsHeterogeneousJobs) {
     std::atomic<int> a{0};
     std::atomic<double> b{0.0};
     TaskGroup group(pool);
-    group.run([&] { a = 41; });
+    // The two jobs on `a` may run in either order, so both add.
+    group.run([&] { a.fetch_add(41); });
     group.run([&] { b = 2.5; });
     group.run([&] { a.fetch_add(1); });
     group.wait();

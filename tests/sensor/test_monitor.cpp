@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 namespace stsense::sensor {
 namespace {
@@ -42,6 +43,27 @@ TEST(ThermalMonitor, ValidatesSites) {
     EXPECT_THROW(ThermalMonitor(phys::cmos350(), sensor_ring(), fp, {},
                                 fast_config()),
                  std::invalid_argument);
+}
+
+TEST(MonitorNonFinite, NanSiteCoordinateIsOffDie) {
+    const auto fp = thermal::demo_floorplan();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const SensorSite& bad : {SensorSite{"nan_x", nan, 1e-3},
+                                  SensorSite{"nan_y", 1e-3, nan}}) {
+        EXPECT_THROW(ThermalMonitor(phys::cmos350(), sensor_ring(), fp, {bad},
+                                    fast_config()),
+                     std::invalid_argument)
+            << bad.name;
+    }
+}
+
+TEST(MonitorNonFinite, ScanFieldRejectsNanTemperature) {
+    const auto fp = thermal::demo_floorplan();
+    const ThermalMonitor mon(phys::cmos350(), sensor_ring(), fp,
+                             uniform_sites(fp, 2, 2), fast_config());
+    std::vector<double> field(24 * 24, 60.0);
+    field[100] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(mon.scan_field(field), std::invalid_argument);
 }
 
 TEST(ThermalMonitor, ScanReadsEverySiteAccurately) {

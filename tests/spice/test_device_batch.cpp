@@ -12,10 +12,11 @@
 #include "ring/spice_ring.hpp"
 #include "spice/simulator.hpp"
 
+#include "golden.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -224,21 +225,7 @@ TEST(DeviceBatchSimd, ScalarAndAvx2KernelsBitwiseIdentical) {
 // those solves bit for bit. Tier 1 runs this suite under both lane
 // dispatches (the probed level and STSENSE_SIMD=scalar).
 
-/// 64-bit FNV-1a over the bit patterns of `values`, as 16 hex digits.
-std::string digest(const std::vector<double>& values) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const double v : values) {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (bits >> (8 * byte)) & 0xffU;
-            h *= 0x100000001b3ULL;
-        }
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-    return buf;
-}
+using golden::digest;
 
 std::string hex_bits(double v) { return digest({v}); }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 namespace stsense::thermal {
@@ -18,6 +19,30 @@ TEST(Floorplan, RejectsBadBlocks) {
     EXPECT_THROW(fp.add_block({"neg", 0, 0, 1e-3, 1e-3, -1.0}), std::invalid_argument);
     EXPECT_THROW(fp.add_block({"off", 9.5e-3, 0, 1e-3, 1e-3, 1.0}),
                  std::invalid_argument);
+}
+
+// NaN fails every `x <= 0` or `x > extent` test, so each one used to
+// wave it through; non-finite inputs are rejected explicitly instead.
+TEST(FloorplanNonFinite, DieExtentsRejected) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(Floorplan(nan, 1e-3), std::invalid_argument);
+    EXPECT_THROW(Floorplan(1e-3, nan), std::invalid_argument);
+    EXPECT_THROW(Floorplan(inf, 1e-3), std::invalid_argument);
+}
+
+TEST(FloorplanNonFinite, BlockFieldsRejected) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Floorplan fp(10e-3, 10e-3);
+    EXPECT_THROW(fp.add_block({"x", nan, 0, 1e-3, 1e-3, 1.0}), std::invalid_argument);
+    EXPECT_THROW(fp.add_block({"y", 0, nan, 1e-3, 1e-3, 1.0}), std::invalid_argument);
+    EXPECT_THROW(fp.add_block({"w", 0, 0, nan, 1e-3, 1.0}), std::invalid_argument);
+    EXPECT_THROW(fp.add_block({"h", 0, 0, 1e-3, nan, 1.0}), std::invalid_argument);
+    EXPECT_THROW(fp.add_block({"p", 0, 0, 1e-3, 1e-3, nan}), std::invalid_argument);
+    EXPECT_THROW(fp.add_block({"inf", 0, 0, 1e-3, 1e-3,
+                               std::numeric_limits<double>::infinity()}),
+                 std::invalid_argument);
+    EXPECT_TRUE(fp.blocks().empty());
 }
 
 TEST(Floorplan, TotalPowerSumsBlocks) {

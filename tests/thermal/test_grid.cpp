@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +16,68 @@ TEST(ThermalGrid, RejectsBadConstruction) {
     GridParams p;
     p.k_si = 0.0;
     EXPECT_THROW(ThermalGrid(4, 4, 1e-3, 1e-3, p), std::invalid_argument);
+}
+
+// NaN fails every `x <= 0` test, so the grid used to accept it; a NaN
+// power cell then produced an all-NaN field reported as converged,
+// because std::max(max_update, NaN) keeps max_update.
+TEST(ThermalGridNonFinite, ConstructorRejectsExtentsAndParams) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(ThermalGrid(4, 4, nan, 1e-3), std::invalid_argument);
+    EXPECT_THROW(ThermalGrid(4, 4, 1e-3, nan), std::invalid_argument);
+    EXPECT_THROW(ThermalGrid(4, 4, std::numeric_limits<double>::infinity(), 1e-3),
+                 std::invalid_argument);
+    for (double GridParams::*field :
+         {&GridParams::k_si, &GridParams::die_thickness, &GridParams::h_eff,
+          &GridParams::c_v, &GridParams::ambient_c}) {
+        GridParams p;
+        p.*field = nan;
+        EXPECT_THROW(ThermalGrid(4, 4, 1e-3, 1e-3, p), std::invalid_argument);
+    }
+}
+
+TEST(ThermalGridNonFinite, SteadyStateRejectsNanPower) {
+    const ThermalGrid grid(8, 8, 10e-3, 10e-3);
+    std::vector<double> power(64, 0.01);
+    power[27] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(grid.steady_state(power), std::invalid_argument);
+    power[27] = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(grid.steady_state(power), std::invalid_argument);
+}
+
+TEST(ThermalGridNonFinite, TransientStepRejectsNanTemperaturePowerAndDt) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const ThermalGrid grid(4, 4, 1e-3, 1e-3);
+    const std::vector<double> power(16, 0.01);
+    std::vector<double> temps(16, 45.0);
+    EXPECT_THROW(grid.transient_step(temps, power, nan), std::invalid_argument);
+    EXPECT_THROW(grid.transient_step(temps, power,
+                                     std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    auto bad_power = power;
+    bad_power[3] = nan;
+    EXPECT_THROW(grid.transient_step(temps, bad_power, 1e-3), std::invalid_argument);
+    temps[5] = nan;
+    EXPECT_THROW(grid.transient_step(temps, power, 1e-3), std::invalid_argument);
+}
+
+TEST(ThermalGridNonFinite, SampleAndCellIndexRejectNanCoordinates) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const ThermalGrid grid(4, 4, 1e-3, 1e-3);
+    const std::vector<double> temps(16, 45.0);
+    EXPECT_THROW(grid.sample(temps, nan, 0.5e-3), std::invalid_argument);
+    EXPECT_THROW(grid.sample(temps, 0.5e-3, nan), std::invalid_argument);
+    EXPECT_THROW(grid.cell_index(nan, 0.5e-3), std::invalid_argument);
+    EXPECT_THROW(grid.cell_index(0.5e-3, std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+}
+
+TEST(ThermalGridNonFinite, NanOmegaRejected) {
+    const ThermalGrid grid(4, 4, 1e-3, 1e-3);
+    SolveOptions opt;
+    opt.sor_omega = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(grid.steady_state(std::vector<double>(16, 0.0), opt),
+                 std::invalid_argument);
 }
 
 TEST(SteadyState, ZeroPowerIsAmbientEverywhere) {
