@@ -3,13 +3,12 @@
 // engine. The ablation ladder stacks the kernel features one at a time
 // on top of the PR 3 fast kernel (device bypass + early exit over a
 // dense per-iteration LU). Every rung evaluates its devices through the
-// SoA batch, the engine's only evaluator:
+// SoA batch, the engine's only evaluator, on the lane kernel the CPU
+// probe picks (the scalar/AVX2 parity is a unit test,
+// DeviceBatchSimd.ScalarAndAvx2KernelsBitwiseIdentical):
 //
 //   seed     fixed-step full Newton, every device evaluated, dense LU
-//   pr3      + 0.5 mV device bypass + settled-period early exit, scalar
-//            lane kernel
-//   simd     + runtime-dispatched AVX2 lane kernel (bitwise == pr3)
-//   banded   + bordered-band LU on the ring's MNA pattern
+//   pr3      + 0.5 mV device bypass + settled-period early exit
 //   reuse    + contraction-gated modified Newton (LU reuse)
 //   lockstep + lock-step multi-point driver (try_simulate_batch)
 //
@@ -17,7 +16,8 @@
 // is gated, not assumed: the pr3 rung must agree with the seed kernel
 // within the legacy 0.05 % / 0.01 pp gates, and every later rung within
 // 0.00005 % / 0.00005 pp — i.e. 0.0000 at the Fig. 2 reporting
-// precision. The scalar and SIMD rungs must agree bitwise.
+// precision. The lock-step rung must agree bitwise with the solo reuse
+// rung.
 //
 // Walls are the minimum over --repeat runs (default 3 full / 1 quick) —
 // the grid is small enough that scheduler noise otherwise dominates.
@@ -61,7 +61,6 @@ struct Counters {
     std::uint64_t bypass_hits = 0;
     std::uint64_t batch_lanes = 0;
     std::uint64_t simd_groups = 0;
-    std::uint64_t banded_factors = 0;
     std::uint64_t exit_cycles = 0;
 
     static Counters snap() {
@@ -72,15 +71,13 @@ struct Counters {
         c.bypass_hits = m.counter("spice.eval.bypass_hits").value();
         c.batch_lanes = m.counter("spice.eval.batch_lanes").value();
         c.simd_groups = m.counter("spice.eval.simd_groups").value();
-        c.banded_factors = m.counter("spice.lu.banded_factors").value();
         c.exit_cycles = m.counter("ring.transient.early_exit_cycles").value();
         return c;
     }
     Counters operator-(const Counters& o) const {
-        return {refactors - o.refactors,       reuses - o.reuses,
-                bypass_hits - o.bypass_hits,   batch_lanes - o.batch_lanes,
-                simd_groups - o.simd_groups,   banded_factors - o.banded_factors,
-                exit_cycles - o.exit_cycles};
+        return {refactors - o.refactors,     reuses - o.reuses,
+                bypass_hits - o.bypass_hits, batch_lanes - o.batch_lanes,
+                simd_groups - o.simd_groups, exit_cycles - o.exit_cycles};
     }
 };
 
@@ -122,7 +119,7 @@ int main(int argc, char** argv) {
                       (quick ? " (quick)" : ""));
 
     const auto& caps = util::simd_caps();
-    const util::SimdLevel level = util::resolve_simd(util::SimdMode::Auto);
+    const util::SimdLevel level = util::resolve_simd();
     std::cout << "simd probe: sse4.2=" << caps.sse42 << " avx2=" << caps.avx2
               << " fma=" << caps.fma << " avx512f=" << caps.avx512f
               << " -> lane kernel dispatch: " << util::simd_level_name(level)
@@ -159,13 +156,6 @@ int main(int argc, char** argv) {
     ring::SpiceRingOptions pr3_opt = seed_opt;
     pr3_opt.early_exit = true;
     pr3_opt.kernel.bypass_tol_v = 5e-4;
-    pr3_opt.kernel.simd = util::SimdMode::ForceScalar;
-
-    ring::SpiceRingOptions simd_opt = pr3_opt;
-    simd_opt.kernel.simd = util::SimdMode::Auto;
-
-    ring::SpiceRingOptions banded_opt = simd_opt;
-    banded_opt.kernel.banded_lu = true;
 
     // The last two rungs come straight from the shipped preset so the
     // bench measures exactly what SpiceRingOptions::fast() ships.
@@ -243,12 +233,7 @@ int main(int argc, char** argv) {
 
     Row seed = measure("seed", "seed (fixed, full Newton)", seed_opt, false);
     std::vector<Row> rows;
-    rows.push_back(measure("pr3", "pr3 (+bypass +early-exit, scalar)", pr3_opt,
-                           false));
-    rows.push_back(measure("simd", std::string(" +SIMD (") +
-                                       util::simd_level_name(level) + ")",
-                           simd_opt, false));
-    rows.push_back(measure("banded", " +banded LU", banded_opt, false));
+    rows.push_back(measure("pr3", "pr3 (+bypass +early-exit)", pr3_opt, false));
     rows.push_back(measure("reuse", " +LU reuse (modified Newton)", reuse_opt,
                            false));
     rows.push_back(measure("lockstep",
@@ -316,8 +301,7 @@ int main(int argc, char** argv) {
               << " repeat(s)\n"
               << "fast() vs seed: " << util::fixed(speedup, 2)
               << "x; vs pr3 kernel: " << util::fixed(speedup_vs_pr3, 2) << "x\n"
-              << "fast(): " << fast.c.refactors << " refactors ("
-              << fast.c.banded_factors << " banded), " << fast.c.reuses
+              << "fast(): " << fast.c.refactors << " refactors, " << fast.c.reuses
               << " LU reuses, " << fast.c.bypass_hits << " bypass hits, "
               << fast.c.batch_lanes << " batch lanes in " << fast.c.simd_groups
               << " simd groups, " << fast.c.exit_cycles
@@ -349,7 +333,6 @@ int main(int argc, char** argv) {
              << "  \"fast_bypass_hits\": " << fast.c.bypass_hits << ",\n"
              << "  \"fast_batch_lanes\": " << fast.c.batch_lanes << ",\n"
              << "  \"fast_simd_groups\": " << fast.c.simd_groups << ",\n"
-             << "  \"fast_banded_factors\": " << fast.c.banded_factors << ",\n"
              << "  \"early_exit_cycles_saved\": " << fast.c.exit_cycles << ",\n"
              << "  \"early_exit_runs\": " << fast.early_exits << ",\n"
              << "  \"ablation\": [\n";
@@ -363,8 +346,7 @@ int main(int argc, char** argv) {
                  << ", \"reuses\": " << r.c.reuses
                  << ", \"bypass_hits\": " << r.c.bypass_hits
                  << ", \"batch_lanes\": " << r.c.batch_lanes
-                 << ", \"simd_groups\": " << r.c.simd_groups
-                 << ", \"banded_factors\": " << r.c.banded_factors << "}"
+                 << ", \"simd_groups\": " << r.c.simd_groups << "}"
                  << (i + 1 < rows.size() ? "," : "") << "\n";
         }
         json << "  ],\n"
@@ -400,8 +382,6 @@ int main(int argc, char** argv) {
                           r.max_period_dev_pct < 5e-5 && r.max_nl_dev_pp < 5e-5);
         }
     }
-    checks.expect("scalar and SIMD lane kernels agree bitwise",
-                  periods_bitwise_equal(pr3.periods, row("simd").periods));
     checks.expect("lock-step rung bitwise-matches the solo reuse rung",
                   periods_bitwise_equal(reuse.periods, fast.periods));
     checks.expect("every fast run banked its cycles and exited early",
@@ -410,8 +390,6 @@ int main(int argc, char** argv) {
                   fast.c.bypass_hits > 0);
     checks.expect("the fast pass actually reused factorizations",
                   fast.c.reuses > 0 && reuse.c.reuses > 0);
-    checks.expect("the fast pass factored through the banded kernel",
-                  fast.c.banded_factors > 0);
     checks.expect("the fast pass evaluated devices through the SoA batch",
                   fast.c.batch_lanes > 0);
     if (level == util::SimdLevel::Avx2) {

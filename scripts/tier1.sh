@@ -15,32 +15,23 @@ cmake -B "$repo/build" -S "$repo"
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
-echo "== tier 1: flake gate — pool, cancel and lock-step suites, 20 repeats =="
-# These suites race workers against cancels, waiters and counters. A
-# race that fails one run in N would slip through the single pass
-# above, so rerun them in parallel until one fails, 20 times over.
+echo "== tier 1: flake gate — pool, cancel, lock-step and service suites, 20 repeats =="
+# These suites race workers against cancels, waiters and counters, and
+# the service suites race loopback clients, retries and drains against
+# the pool. A race that fails one run in N would slip through the
+# single pass above, so rerun them in parallel until one fails, 20
+# times over.
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|Cancel|LockStep' --repeat until-fail:20
-
-echo "== tier 1: SIMD parity — batched kernel under both lane dispatches =="
-# The batched SoA evaluator ships a scalar and an AVX2 lane kernel that
-# must be bitwise identical; the ablation bench proves it on the Fig. 2
-# workload, and this stage proves it at the unit level under BOTH
-# dispatches. First pass: the host's probed best level (AVX2 where
-# available). Second pass: STSENSE_SIMD=scalar forces the scalar lane
-# kernel through the same suites, so a parity break in either kernel —
-# or in the env-override plumbing itself — fails tier 1.
-"$repo/build/tests/stsense_tests" \
-    --gtest_filter='Simd*:DeviceBatch*:BandedLu*:LockStep*'
-STSENSE_SIMD=scalar "$repo/build/tests/stsense_tests" \
-    --gtest_filter='Simd*:DeviceBatch*:BandedLu*:LockStep*'
+    -R 'ThreadPool|Cancel|LockStep|ServiceRetry|ServiceDrainResume|ServiceRuntime|DtmService|PopulationService' \
+    --repeat until-fail:20
 
 echo "== tier 1: perf smoke — fast transient kernel ablation vs seed kernel =="
 # bench_transient_kernel exits non-zero when the quick-grid gates fail:
 # < 2x speedup over the seed kernel (raised from 1.5x now the batched
-# SoA + banded-LU + lock-step kernel ships), period deviation > 0.05 %,
-# NL-curve deviation > 0.01 pp, scalar-vs-SIMD bitwise mismatch, or a
-# kernel counter (batch lanes, banded factors, LU reuses) reading zero.
+# SoA + LU-reuse + lock-step kernel ships), period deviation > 0.05 %,
+# NL-curve deviation > 0.01 pp, a lock-step vs solo bitwise mismatch,
+# or a kernel counter (bypass hits, LU reuses, batch lanes, AVX2 groups
+# on an AVX2 host) reading zero.
 # The top-level CMakeLists defaults to
 # RelWithDebInfo, so the stage-1 build is already optimized; a Debug
 # build would fail the speedup gate for the wrong reason (the bench

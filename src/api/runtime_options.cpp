@@ -44,21 +44,6 @@ RuntimeOptions& RuntimeOptions::fast_kernel(bool on) {
     return *this;
 }
 
-RuntimeOptions& RuntimeOptions::simd(util::SimdMode mode) {
-    simd_ = mode;
-    return *this;
-}
-
-RuntimeOptions& RuntimeOptions::lockstep(int width) {
-    lockstep_ = width;
-    return *this;
-}
-
-RuntimeOptions& RuntimeOptions::banded_lu(bool on) {
-    banded_lu_ = on;
-    return *this;
-}
-
 RuntimeOptions& RuntimeOptions::trace(std::string path) {
     trace_path_ = std::move(path);
     return *this;
@@ -110,7 +95,6 @@ const RuntimeOptions& RuntimeOptions::validate() const {
         bad("fault retry_steps_factor must be > 0");
     }
     if (redundancy_ < 1) bad("redundancy must be >= 1");
-    if (lockstep_ < 0) bad("lockstep width must be >= 0 (0 keeps the preset)");
     if (health_) {
         if (health_config_.max_retries < 0) bad("health max_retries must be >= 0");
         if (!(health_config_.temp_min_c < health_config_.temp_max_c)) {
@@ -166,23 +150,14 @@ sensor::MonitorConfig RuntimeOptions::monitor_config(
 
 spice::TransientOptions RuntimeOptions::transient_options() const {
     validate();
-    spice::TransientOptions t = fast_kernel_ ? spice::TransientOptions::fast()
-                                             : spice::TransientOptions{};
-    // Per-feature overrides sit on top of the preset; every default
-    // (Auto / 0 / unset) leaves the preset untouched, so a plain
-    // RuntimeOptions still projects the bitwise seed-identical engine.
-    t.simd = simd_;
-    if (lockstep_ > 0) t.lockstep_width = lockstep_;
-    if (banded_lu_.has_value()) t.banded_lu = *banded_lu_;
-    return t;
+    return fast_kernel_ ? spice::TransientOptions::fast()
+                        : spice::TransientOptions{};
 }
 
 ring::SpiceRingOptions RuntimeOptions::spice_ring_options() const {
     validate();
-    ring::SpiceRingOptions o = fast_kernel_ ? ring::SpiceRingOptions::fast()
-                                            : ring::SpiceRingOptions{};
-    o.kernel = transient_options();
-    return o;
+    return fast_kernel_ ? ring::SpiceRingOptions::fast()
+                        : ring::SpiceRingOptions{};
 }
 
 obs::TraceSession RuntimeOptions::trace_session() const {

@@ -36,7 +36,6 @@
 #include "spice/simulator.hpp"
 
 #include <memory>
-#include <optional>
 #include <string>
 
 namespace stsense {
@@ -72,29 +71,12 @@ public:
     RuntimeOptions& fault_policy(ring::FaultPolicy policy, int max_retries = 2,
                                  double retry_steps_factor = 2.0);
 
-    /// The tuned fast transient path: device bypass + banded LU +
-    /// contraction-gated reuse + lock-step + early exit (the
-    /// SpiceRingOptions::fast() / TransientOptions::fast() presets). The
-    /// knobs below override individual kernel features on top of
-    /// whichever preset this selects.
+    /// The tuned fast transient path: device bypass + contraction-gated
+    /// LU reuse + lock-step + early exit (the SpiceRingOptions::fast() /
+    /// TransientOptions::fast() presets). Off projects the
+    /// seed-identical engine. This is the whole kernel surface: the
+    /// lane kernel is the CPU probe's (util::resolve_simd).
     RuntimeOptions& fast_kernel(bool on);
-
-    /// Lane-kernel dispatch for the device batch (Auto probes the CPU;
-    /// the STSENSE_SIMD environment variable still wins at resolve
-    /// time). Applies to both presets; either kernel gives bitwise the
-    /// same answers.
-    RuntimeOptions& simd(util::SimdMode mode);
-
-    /// Lock-step width override: at most this many sweep points per
-    /// group advance through one shared batched evaluator; a parallel
-    /// sweep uses at least as many groups as pool workers. 0 (default)
-    /// keeps the selected preset's width (1 plain / 8 fast); 1 forces
-    /// solo; >= 2 opts a default-kernel run into lock-step.
-    RuntimeOptions& lockstep(int width);
-
-    /// Bordered-band-LU override on top of the selected preset (agrees
-    /// with dense to rounding, not bitwise — see TransientOptions).
-    RuntimeOptions& banded_lu(bool on);
 
     /// Chrome-trace output path; empty keeps tracing off unless the
     /// STSENSE_TRACE environment variable names a path.
@@ -146,7 +128,8 @@ public:
     /// grid/sensor/calibration fields of `base` pass through untouched.
     sensor::MonitorConfig monitor_config(sensor::MonitorConfig base = {}) const;
 
-    /// Fast-kernel toggles of the transient engine.
+    /// The transient engine's kernel: TransientOptions::fast() under
+    /// fast_kernel(true), else the seed-identical defaults.
     spice::TransientOptions transient_options() const;
 
     /// SPICE ring-measurement options carrying transient_options().
@@ -175,8 +158,6 @@ public:
     bool checkpoint_kept() const noexcept { return keep_checkpoint_; }
     const ring::FaultPolicySpec& fault() const noexcept { return fault_; }
     bool fast_kernel_enabled() const noexcept { return fast_kernel_; }
-    util::SimdMode simd_mode() const noexcept { return simd_; }
-    int lockstep_width() const noexcept { return lockstep_; }
     const std::string& trace_path() const noexcept { return trace_path_; }
     bool health_enabled() const noexcept { return health_; }
     int redundancy_count() const noexcept { return redundancy_; }
@@ -196,9 +177,6 @@ private:
     bool keep_checkpoint_ = false;
     ring::FaultPolicySpec fault_;
     bool fast_kernel_ = false;
-    util::SimdMode simd_ = util::SimdMode::Auto;
-    int lockstep_ = 0; ///< 0 = the selected preset's width.
-    std::optional<bool> banded_lu_;  ///< Unset = the preset's choice.
     std::string trace_path_;
     bool health_ = false;
     sensor::SiteHealthConfig health_config_;

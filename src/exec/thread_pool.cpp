@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 namespace stsense::exec {
@@ -41,6 +42,7 @@ void TaskGroup::run(std::function<void()> fn) {
     task.fn = std::move(fn);
     task.group = state_;
     task.ticket = next_ticket_++;
+    task.top_level = top_level_;
     pool_.submit(std::move(task));
 }
 
@@ -53,7 +55,8 @@ void TaskGroup::wait() {
         // Help drain the pool instead of blocking: this makes nested
         // parallel sections deadlock-free (a worker waiting on an inner
         // group keeps executing tasks) and lets the calling thread
-        // contribute throughput.
+        // contribute throughput. Top-level jobs are left to the worker
+        // loops (see TaskGroup).
         if (pool_.help_one()) continue;
         std::unique_lock lock(state_->m);
         // Bounded wait: a task submitted concurrently with the last
@@ -119,15 +122,19 @@ void ThreadPool::submit(Task task) {
     sleep_cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(std::size_t self, Task& out) {
+bool ThreadPool::try_pop(std::size_t self, Task& out, bool helping) {
     const std::size_t n = queues_.size();
+    const auto runnable = [helping](const Task& t) {
+        return !(helping && t.top_level);
+    };
     // Own deque, newest first.
     if (self != kNoWorker) {
         Queue& mine = *queues_[self];
         std::lock_guard lock(mine.m);
-        if (!mine.q.empty()) {
-            out = std::move(mine.q.back());
-            mine.q.pop_back();
+        const auto it = std::find_if(mine.q.rbegin(), mine.q.rend(), runnable);
+        if (it != mine.q.rend()) {
+            out = std::move(*it);
+            mine.q.erase(std::next(it).base());
             pending_.fetch_sub(1, std::memory_order_acquire);
             return true;
         }
@@ -141,9 +148,10 @@ bool ThreadPool::try_pop(std::size_t self, Task& out) {
         if (victim == self) continue;
         Queue& q = *queues_[victim];
         std::lock_guard lock(q.m);
-        if (!q.q.empty()) {
-            out = std::move(q.q.front());
-            q.q.pop_front();
+        const auto it = std::find_if(q.q.begin(), q.q.end(), runnable);
+        if (it != q.q.end()) {
+            out = std::move(*it);
+            q.q.erase(it);
             pending_.fetch_sub(1, std::memory_order_acquire);
             if (self != kNoWorker) stolen_.fetch_add(1, std::memory_order_relaxed);
             return true;
@@ -226,7 +234,7 @@ void ThreadPool::execute(Task& task) {
 bool ThreadPool::help_one() {
     Task task;
     const std::size_t self = (tl_pool == this) ? tl_worker : kNoWorker;
-    if (!try_pop(self, task)) return false;
+    if (!try_pop(self, task, /*helping=*/true)) return false;
     execute(task);
     return true;
 }
@@ -241,7 +249,7 @@ void ThreadPool::worker_loop(std::size_t self) {
                  std::to_string(self));
     for (;;) {
         Task task;
-        if (try_pop(self, task)) {
+        if (try_pop(self, task, /*helping=*/false)) {
             execute(task);
             continue;
         }

@@ -12,7 +12,9 @@
 //   2. *Nestability*: a task may itself call parallel_for (the optimizer
 //      parallelizes candidates whose sweeps could parallelize points).
 //      Waiters help execute pending tasks instead of blocking, so nested
-//      use cannot deadlock even on a single-thread pool.
+//      use cannot deadlock even on a single-thread pool. Jobs of a
+//      top-level TaskGroup are the exception: only worker loops start
+//      them.
 //   3. *Exception safety*: a task that throws does not take a worker
 //      down. The first exception (lowest chunk index for parallel_for)
 //      is captured and rethrown to the caller after the batch drains.
@@ -46,9 +48,17 @@ class ThreadPool;
 /// A batch of heterogeneous jobs submitted to one pool. wait() blocks —
 /// helping to execute pending pool tasks meanwhile — until every job of
 /// *this group* finished, then rethrows the first captured exception.
+///
+/// A `top_level` group's jobs only ever start from a worker's own loop,
+/// never inside a thread helping in some wait(): such a job must not
+/// begin on top of another task's stack. The service's fair scheduler
+/// dispatches its request jobs this way, because a job holds its
+/// session while its fan-out waits — a waiter that started the same
+/// session's next job would block on a lock its own thread holds.
 class TaskGroup {
 public:
-    explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
+    explicit TaskGroup(ThreadPool& pool, bool top_level = false)
+        : pool_(pool), top_level_(top_level) {}
     TaskGroup(const TaskGroup&) = delete;
     TaskGroup& operator=(const TaskGroup&) = delete;
     /// Joins outstanding tasks (exceptions swallowed — call wait()).
@@ -72,6 +82,7 @@ private:
         std::size_t error_ticket = ~std::size_t{0};
     };
     ThreadPool& pool_;
+    const bool top_level_;
     std::shared_ptr<State> state_ = std::make_shared<State>();
     std::size_t next_ticket_ = 0;
 };
@@ -163,6 +174,8 @@ private:
         /// whose token fired before dequeue is skipped (never run) with
         /// a CancelledError delivered through the group instead.
         CancelToken token;
+        /// From a top_level TaskGroup: never run by a helping waiter.
+        bool top_level = false;
     };
     struct Queue {
         std::mutex m;
@@ -171,9 +184,10 @@ private:
 
     void submit(Task task);
     void worker_loop(std::size_t self);
-    /// Pops one task (own deque back first, then steals front of others,
-    /// then the overflow queue). `self` == npos for non-worker threads.
-    bool try_pop(std::size_t self, Task& out);
+    /// Pops one task (own deque back first, then steals front of
+    /// others). `self` == npos for non-worker threads. A `helping`
+    /// caller (a waiter) skips top-level tasks.
+    bool try_pop(std::size_t self, Task& out, bool helping);
     void execute(Task& task);
     /// Runs one pending task if any; used by waiters to help.
     bool help_one();

@@ -102,18 +102,4 @@ void VariationStream::next_n(std::span<Technology> out,
     cursor_ = first + out.size();
 }
 
-std::vector<Technology> sample_variation_batch(const Technology& tech,
-                                               const VariationSpec& spec,
-                                               const util::Rng& base,
-                                               std::size_t n,
-                                               exec::ThreadPool* pool) {
-    // Shim over the stream (see the header's deprecation note): one
-    // next_n fill of the whole population, bitwise what this function
-    // always returned.
-    std::vector<Technology> out(n, tech);
-    VariationStream stream(tech, spec, base);
-    stream.next_n(out, pool);
-    return out;
-}
-
 } // namespace stsense::phys

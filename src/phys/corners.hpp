@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace stsense::phys {
 
@@ -63,9 +62,11 @@ Technology sample_variation(const Technology& tech, const VariationSpec& spec,
 /// materializing the whole population: a 10^6-die study touches one
 /// shard's worth of Technology at a time.
 ///
-/// Contract: at(i) is bitwise identical to sample_variation_batch(tech,
-/// spec, base, n)[i] for every i < n — the vector API is now a thin shim
-/// over this stream, and the equivalence is asserted in tests.
+/// Contract: die i draws from the independent stream base.split(i)
+/// (see util::Rng::split(stream_id)), so at(i) — and the slot next_n
+/// fills for die i — is deterministic for a given `base` state
+/// regardless of chunking, thread count or scheduling: the parallel
+/// Monte-Carlo contract, asserted in tests.
 class VariationStream {
 public:
     /// `base` is captured by value (the stream never advances it);
@@ -103,22 +104,5 @@ private:
     util::Rng base_;
     std::uint64_t cursor_ = 0;
 };
-
-/// Samples `n` varied dies concurrently on `pool` (nullptr: the global
-/// pool). Trial i draws from the independent stream `base.split(i)`
-/// (see util::Rng::split(stream_id)), so the returned vector is
-/// deterministic for a given `base` state regardless of thread count or
-/// scheduling — the parallel Monte-Carlo contract. `base` is not
-/// advanced.
-///
-/// Deprecated: this call shape materializes all n dies at once, which
-/// the population engine outgrew. Prefer VariationStream (same values,
-/// bitwise — this function is now a shim over it) and consume dice
-/// shard by shard.
-std::vector<Technology> sample_variation_batch(const Technology& tech,
-                                               const VariationSpec& spec,
-                                               const util::Rng& base,
-                                               std::size_t n,
-                                               exec::ThreadPool* pool = nullptr);
 
 } // namespace stsense::phys

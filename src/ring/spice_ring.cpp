@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -68,6 +69,21 @@ std::vector<spice::NodeId> SpiceRingModel::build(
 }
 
 namespace {
+
+/// The transient's dt and t_stop derive from the analytic period
+/// estimate, so a point whose estimate is not finite and positive (e.g.
+/// a temperature far outside the model's range) is refused up front.
+std::optional<spice::SimError> reject_estimate(double est, double temp_k,
+                                               const RingConfig& config) {
+    if (std::isfinite(est) && est > 0.0) return std::nullopt;
+    char what[96];
+    std::snprintf(what, sizeof what, "%g s at %g K", est, temp_k);
+    spice::SimError e;
+    e.kind = spice::SimErrorKind::NonFiniteState;
+    e.message = "SpiceRingModel: period estimate " + std::string(what) +
+                " is not finite and > 0 for " + describe(config);
+    return e;
+}
 
 spice::SimOptions make_sim_options(double temp_k, const SpiceRingOptions& opt) {
     spice::SimOptions sim_opt;
@@ -180,13 +196,13 @@ spice::Result<RingSimResult> SpiceRingModel::try_simulate(
         throw std::invalid_argument("SpiceRingOptions: bad values");
     }
 
-    spice::Circuit ckt;
-    const std::vector<spice::NodeId> nodes = build(ckt);
-
     // Pace the run off the analytic estimate.
     const AnalyticRingModel analytic(tech_, config_);
     const double est = analytic.period(temp_k);
+    if (auto e = reject_estimate(est, temp_k, config_)) return std::move(*e);
 
+    spice::Circuit ckt;
+    const std::vector<spice::NodeId> nodes = build(ckt);
     spice::Simulator sim(ckt, make_sim_options(temp_k, opt));
     const spice::TransientSpec tspec = make_tspec(est, opt, nodes);
 
@@ -201,6 +217,10 @@ std::vector<spice::Result<RingSimResult>> SpiceRingModel::try_simulate_batch(
     if (opt.skip_cycles < 0 || opt.measure_cycles < 1 || opt.steps_per_period < 20) {
         throw std::invalid_argument("SpiceRingOptions: bad values");
     }
+    if (!fault_ctx.empty() && fault_ctx.size() != temps_k.size()) {
+        throw std::invalid_argument(
+            "try_simulate_batch: fault_ctx must be empty or match temps_k");
+    }
     std::vector<spice::Result<RingSimResult>> out;
     if (temps_k.empty()) return out;
     out.reserve(temps_k.size());
@@ -211,27 +231,40 @@ std::vector<spice::Result<RingSimResult>> SpiceRingModel::try_simulate_batch(
     const std::vector<spice::NodeId> nodes = build(ckt);
     const AnalyticRingModel analytic(tech_, config_);
 
+    // The simulated points: every point whose estimate can pace a run.
+    std::vector<std::optional<spice::SimError>> rejected(temps_k.size());
     std::vector<double> ests;
     std::vector<spice::SimOptions> sim_opts;
     std::vector<spice::TransientSpec> specs;
+    std::vector<std::uint64_t> ctx;
     ests.reserve(temps_k.size());
     sim_opts.reserve(temps_k.size());
     specs.reserve(temps_k.size());
-    for (const double temp_k : temps_k) {
-        const double est = analytic.period(temp_k);
+    for (std::size_t i = 0; i < temps_k.size(); ++i) {
+        const double est = analytic.period(temps_k[i]);
+        rejected[i] = reject_estimate(est, temps_k[i], config_);
+        if (rejected[i]) continue;
         ests.push_back(est);
-        sim_opts.push_back(make_sim_options(temp_k, opt));
+        sim_opts.push_back(make_sim_options(temps_k[i], opt));
         specs.push_back(make_tspec(est, opt, nodes));
+        if (!fault_ctx.empty()) ctx.push_back(fault_ctx[i]);
     }
 
-    auto raw = spice::run_lockstep(ckt, sim_opts, specs, fault_ctx);
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (!raw[i].ok()) {
-            out.push_back(raw[i].error());
+    std::vector<spice::Result<spice::TransientResult>> raw;
+    if (!specs.empty()) raw = spice::run_lockstep(ckt, sim_opts, specs, ctx);
+    std::size_t j = 0; // Next simulated point.
+    for (std::size_t i = 0; i < temps_k.size(); ++i) {
+        if (rejected[i]) {
+            out.push_back(std::move(*rejected[i]));
             continue;
         }
-        out.push_back(
-            extract_result(ckt, nodes, ests[i], specs[i], opt, raw[i].value()));
+        if (!raw[j].ok()) {
+            out.push_back(raw[j].error());
+        } else {
+            out.push_back(
+                extract_result(ckt, nodes, ests[j], specs[j], opt, raw[j].value()));
+        }
+        ++j;
     }
     return out;
 }

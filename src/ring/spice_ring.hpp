@@ -80,6 +80,9 @@ public:
     /// (after the recovery ladder), a missing probe trace, or an
     /// unmeasurable waveform come back as a structured SimError instead
     /// of an exception — the sweep FaultPolicy machinery consumes this.
+    /// So does a point whose analytic period estimate (which paces the
+    /// transient) is not finite and positive: NonFiniteState, before
+    /// any simulation.
     spice::Result<RingSimResult> try_simulate(
         double temp_k, const SpiceRingOptions& opt = {}) const;
 
@@ -92,8 +95,9 @@ public:
     /// netlist is built once and each point's voltages live in one SoA
     /// block, so the device-evaluation loop streams K points per sweep of
     /// the population. Results are bitwise identical to calling
-    /// try_simulate per point, in order. `fault_ctx`, when non-empty
-    /// (must match temps_k's length), gives the per-point
+    /// try_simulate per point, in order (a point with a non-finite
+    /// estimate is left out of the lock-step group). `fault_ctx`, when
+    /// non-empty (must match temps_k's length), gives the per-point
     /// exec::FaultContext ids to install around each point's injected-
     /// sabotage draws — pass the same ids the solo sweep path would.
     std::vector<spice::Result<RingSimResult>> try_simulate_batch(

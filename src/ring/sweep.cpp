@@ -438,19 +438,11 @@ std::uint64_t sweep_fingerprint(const phys::Technology& tech,
             .add(static_cast<std::int64_t>(spice_opt.max_total_newton_iters));
         // Fast-kernel knobs change the computed values, so a fast sweep
         // and a seed-identical sweep must not alias in the cache.
-        // simd / lockstep_width are deliberately absent: they are
-        // bitwise-neutral (the SIMD and lock-step paths carry a parity
-        // contract with the scalar solo run), so toggling them must hit
-        // the same cache entry. banded_lu and reuse_stall_ratio DO
-        // change bits (different elimination order / different refactor
-        // schedule) and are keyed.
+        // lockstep_width is deliberately absent: lock-step carries a
+        // parity contract with the solo run, so toggling it must hit
+        // the same cache entry.
         const spice::TransientOptions& k = spice_opt.kernel;
-        fp.add(k.reuse_lu)
-            .add(k.reuse_iter_limit)
-            .add(k.reuse_stall_ratio)
-            .add(k.bypass_tol_v)
-            .add(k.banded_lu)
-            .add(spice_opt.early_exit);
+        fp.add(k.reuse_lu).add(k.bypass_tol_v).add(spice_opt.early_exit);
     }
     // The fault policy shapes the values of points that fail, so it is
     // part of the key (a Skip series and a Fallback series of the same

@@ -11,7 +11,7 @@
 namespace stsense::service {
 
 FairScheduler::FairScheduler(exec::ThreadPool& pool, Limits limits)
-    : pool_(pool), limits_(limits), group_(pool) {}
+    : pool_(pool), limits_(limits), group_(pool, /*top_level=*/true) {}
 
 FairScheduler::~FairScheduler() {
     // Discard whatever is still queued; block until dispatched jobs

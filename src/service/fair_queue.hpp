@@ -23,6 +23,11 @@
 // the job is queued is the dispatcher's problem (the server's job
 // wrapper answers it without doing the heavy work).
 //
+// Jobs go to the pool as a top-level exec::TaskGroup: a pool thread
+// waiting inside one job's fan-out never starts another job. A session
+// job holds its session across its fan-out, so a nested start of the
+// same session's next job would block on a lock its own thread holds.
+//
 // Dispatch order is deterministic given the arrival order: the cursor
 // walks clients in registration order and jobs in FIFO order — the
 // determinism tests pin this down with max_concurrency = 1.

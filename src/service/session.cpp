@@ -893,7 +893,7 @@ ModelPtr Session::model() const {
     auto kernel_node = [self]() -> ModelPtr {
         const spice::TransientOptions k =
             self->spec_.runtime.transient_options();
-        const util::SimdLevel dispatch = util::resolve_simd(k.simd);
+        const util::SimdLevel dispatch = util::resolve_simd();
         auto metric = [](const char* name) {
             return leaf([name] {
                 return Json(
@@ -908,7 +908,6 @@ ModelPtr Session::model() const {
             {"simd", [dispatch] {
                  return fixed_leaf(Json(util::simd_level_name(dispatch)));
              }},
-            {"banded_lu", [k] { return fixed_leaf(Json(k.banded_lu)); }},
             {"reuse_lu", [k] { return fixed_leaf(Json(k.reuse_lu)); }},
             {"lockstep_width",
              [k] { return fixed_leaf(Json(k.lockstep_width)); }},
@@ -916,8 +915,6 @@ ModelPtr Session::model() const {
             {"batch_lanes", [metric] { return metric("spice.eval.batch_lanes"); }},
             {"simd_groups", [metric] { return metric("spice.eval.simd_groups"); }},
             {"bypass_hits", [metric] { return metric("spice.eval.bypass_hits"); }},
-            {"banded_factors",
-             [metric] { return metric("spice.lu.banded_factors"); }},
             {"refactors", [metric] { return metric("spice.newton.refactor"); }},
             {"lu_reuses", [metric] { return metric("spice.newton.reuse"); }},
         });

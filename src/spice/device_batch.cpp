@@ -103,11 +103,11 @@ void check_device(const phys::MosfetParams& p, const phys::MosGeometry& g,
 } // namespace
 
 DeviceBatch::DeviceBatch(const Circuit& circuit,
-                         std::span<const double> temps_k, util::SimdMode mode)
+                         std::span<const double> temps_k)
     : n_blocks_(temps_k.size()),
       n_lanes_(circuit.mosfets().size()),
       stride_((circuit.mosfets().size() + 3) & ~std::size_t{3}),
-      level_(util::resolve_simd(mode)) {
+      level_(util::resolve_simd()) {
     const auto& mosfets = circuit.mosfets();
 
     vg_a_.resize(stride_);

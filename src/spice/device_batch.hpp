@@ -19,11 +19,12 @@
 //   indices (polarity folded in: PMOS lanes gather vs-vg / vs-vd).
 // * evaluate folds the bypass test into a per-lane mask: quiet lanes are
 //   restamped from the cached linearization, the rest run the real
-//   alpha-power model. Two dispatchable kernels exist — portable scalar
-//   and AVX2 — and they are bitwise-identical by construction: the AVX2
-//   unit vectorizes only the mask + restamp arithmetic (compiled with
-//   -ffp-contract=off so no FMA fusing changes a rounding), and miss
-//   lanes call the same scalar model evaluation in the same lane order.
+//   alpha-power model. Two kernels exist — portable scalar and AVX2,
+//   picked by the CPU probe — and they are bitwise-identical by
+//   construction: the AVX2 unit vectorizes only the mask + restamp
+//   arithmetic (compiled with -ffp-contract=off so no FMA fusing
+//   changes a rounding), and miss lanes call the same scalar model
+//   evaluation in the same lane order.
 //   The scalar lanes themselves are bitwise-identical to
 //   phys::evaluate (same expressions, same association, per-temperature
 //   constants prefolded with the exact arithmetic evaluate() uses).
@@ -124,11 +125,11 @@ public:
         long simd_groups = 0; ///< 4-lane groups that went through AVX2.
     };
 
-    /// One block per entry of temps_k. Throws std::invalid_argument on
+    /// One block per entry of temps_k; the lane kernel is the CPU
+    /// probe's (util::resolve_simd). Throws std::invalid_argument on
     /// model parameters the scalar model would reject (same conditions
     /// as phys::evaluate's input check).
-    DeviceBatch(const Circuit& circuit, std::span<const double> temps_k,
-                util::SimdMode mode = util::SimdMode::Auto);
+    DeviceBatch(const Circuit& circuit, std::span<const double> temps_k);
 
     std::size_t blocks() const { return n_blocks_; }
     std::size_t lanes() const { return n_lanes_; }

@@ -126,8 +126,8 @@ void eval_lanes_avx2(const BatchLanes& L, bool use_cache, double tol,
 
 void eval_lanes_avx2(const BatchLanes& L, bool use_cache, double tol,
                      BatchCounters& counters) {
-    // Built without AVX2 support: the dispatcher should never pick this
-    // path (resolve_simd degrades to Scalar), but keep it correct.
+    // Built without AVX2 support: the probe-driven dispatch only picks
+    // this path on an AVX2 CPU, but keep it correct anyway.
     eval_lanes_scalar(L, use_cache, tol, counters);
 }
 

@@ -104,63 +104,6 @@ private:
     bool valid_ = false;
 };
 
-/// A structure-exploiting LU for the banded(+corner) MNA matrices ring
-/// netlists produce.
-///
-/// A ring oscillator's Jacobian is lower-bidiagonal (each stage output
-/// couples to the previous stage through gm) plus one wrap entry in the
-/// top-right corner — a band of half-width b with a dense border of the
-/// last w columns/rows ("bordered band"). plan() measures (b, w) from
-/// the nonzero pattern; factor()/solve() then run Doolittle *without
-/// pivoting* with every loop clipped to the band + border, which is
-/// closed under LU fill, so the work drops from O(n^3) to O(n*(b+w)^2).
-/// When the measured structure would not beat dense elimination, plan()
-/// reports banded = false and the caller stays on dense LuFactors.
-///
-/// No pivoting is safe here because gmin-shunted MNA matrices keep a
-/// healthy diagonal; a pivot below `pivot_tol` makes factor() return
-/// false and the caller falls back to the dense (pivoted) path. The
-/// banded factorization eliminates in a different order than the
-/// pivoted dense core, so its solutions agree with dense to rounding
-/// (~1e-15 rel) but are not bitwise equal — which is why the banded
-/// path is opt-in (TransientOptions::banded_lu) and excluded from the
-/// engine's bitwise-default contract.
-class BandedLuFactors {
-public:
-    /// Structure measured from a representative matrix's pattern.
-    struct Plan {
-        bool banded = false;   ///< false: use dense LuFactors instead.
-        std::size_t band = 0;  ///< Half-bandwidth of the interior block.
-        std::size_t border = 0;///< Dense trailing columns/rows (ring wrap).
-    };
-
-    /// Measures (band, border) from the nonzero pattern of `a` and
-    /// decides whether banded elimination is worth it: the clipped
-    /// factor cost must be below `cost_cutoff` times the dense cost.
-    static Plan analyze(const Matrix& a, double cost_cutoff = 0.5);
-
-    /// Factors `a` under `plan` (a must match the pattern analyze saw).
-    /// Returns false — and marks the factors invalid — on a pivot below
-    /// `pivot_tol` or a non-finite pivot.
-    bool factor(const Matrix& a, const Plan& plan, double pivot_tol = 1e-14);
-
-    /// Solves A x = b against the stored factors. Returns false when no
-    /// valid factorization is held, on dimension mismatch, or when the
-    /// solution is non-finite; x is unspecified in that case.
-    bool solve(std::span<const double> b, std::vector<double>& x) const;
-
-    std::size_t size() const { return valid_ ? lu_.rows() : 0; }
-    bool valid() const { return valid_; }
-    void invalidate() { valid_ = false; }
-    const Plan& plan_used() const { return plan_; }
-
-private:
-    Matrix lu_;
-    Plan plan_;
-    mutable std::vector<double> y_; ///< Forward-substitution scratch.
-    bool valid_ = false;
-};
-
 /// In-place LU factorization with partial pivoting; solves A x = b.
 ///
 /// Returns false if the matrix is numerically singular (pivot below

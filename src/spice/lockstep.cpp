@@ -143,8 +143,7 @@ std::vector<Result<TransientResult>> LockStepRunner::run() {
     // One shared multi-block evaluator: block p holds point p's lanes.
     std::vector<double> temps(k);
     for (std::size_t p = 0; p < k; ++p) temps[p] = options_[p].temp_k;
-    auto batch = std::make_shared<DeviceBatch>(circuit_, temps,
-                                               options_[0].kernel.simd);
+    auto batch = std::make_shared<DeviceBatch>(circuit_, temps);
     span.tag("eval", util::simd_level_name(batch->level()));
 
     points_.resize(k);
@@ -158,7 +157,7 @@ std::vector<Result<TransientResult>> LockStepRunner::run() {
         pt.ctx = fault_ctx_.empty() ? exec::FaultContext::current() : fault_ctx_[p];
         const exec::FaultContext guard(pt.ctx);
         pt.error = pt.sim->start_transient(*pt.spec, pt.run);
-        pt.done = pt.error.has_value() || pt.run.n_steps <= 0;
+        pt.done = pt.error.has_value();
     }
 
     // The phase loop: one Newton iteration per active point per round.

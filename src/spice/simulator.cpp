@@ -3,6 +3,7 @@
 #include "exec/fault_injector.hpp"
 #include "exec/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/simd.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +18,18 @@ namespace {
 /// Later rung beats earlier rung for the "deepest rung used" statistic.
 RecoveryRung deeper(RecoveryRung a, RecoveryRung b) {
     return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
+}
+
+/// Modified Newton (TransientOptions::reuse_lu): at most this many
+/// re-solves per factorization, and a re-solved iteration whose max
+/// |dV| did not shrink below kReuseStallRatio of the previous one
+/// forces a refactor (see TransientOptions).
+constexpr int kReuseIterLimit = 2;
+constexpr double kReuseStallRatio = 0.3;
+
+/// Base steps from 0 to t_stop (the last one may be clipped).
+double step_count(const TransientSpec& spec) {
+    return std::ceil(spec.t_stop / spec.dt - 1e-9);
 }
 
 } // namespace
@@ -50,18 +63,17 @@ Simulator::Simulator(const Circuit& circuit, SimOptions options)
 Simulator::Simulator(const Circuit& circuit, SimOptions options,
                      std::shared_ptr<DeviceBatch> batch, std::size_t block)
     : circuit_(circuit), options_(std::move(options)) {
-    if (options_.temp_k <= 0.0) throw std::invalid_argument("Simulator: temp_k must be > 0");
-    if (options_.gmin < 0.0) throw std::invalid_argument("Simulator: gmin must be >= 0");
+    if (!std::isfinite(options_.temp_k) || options_.temp_k <= 0.0) {
+        throw std::invalid_argument("Simulator: temp_k must be finite and > 0");
+    }
+    if (!std::isfinite(options_.gmin) || options_.gmin < 0.0) {
+        throw std::invalid_argument("Simulator: gmin must be finite and >= 0");
+    }
 
     const TransientOptions& k = options_.kernel;
-    if (k.reuse_iter_limit < 1) {
-        throw std::invalid_argument("Simulator: kernel.reuse_iter_limit must be >= 1");
-    }
-    if (k.reuse_stall_ratio <= 0.0) {
-        throw std::invalid_argument("Simulator: kernel.reuse_stall_ratio must be > 0");
-    }
-    if (k.bypass_tol_v < 0.0) {
-        throw std::invalid_argument("Simulator: kernel.bypass_tol_v must be >= 0");
+    if (!std::isfinite(k.bypass_tol_v) || k.bypass_tol_v < 0.0) {
+        throw std::invalid_argument(
+            "Simulator: kernel.bypass_tol_v must be finite and >= 0");
     }
     if (k.lockstep_width < 1) {
         throw std::invalid_argument("Simulator: kernel.lockstep_width must be >= 1");
@@ -90,7 +102,7 @@ Simulator::Simulator(const Circuit& circuit, SimOptions options,
     if (batch == nullptr) {
         const double temp = options_.temp_k;
         batch = std::make_shared<DeviceBatch>(
-            circuit_, std::span<const double>(&temp, 1), options_.kernel.simd);
+            circuit_, std::span<const double>(&temp, 1));
         block = 0;
     } else if (block >= batch->blocks()) {
         throw std::invalid_argument("Simulator: bad shared DeviceBatch/block");
@@ -205,7 +217,6 @@ Simulator::NewtonIterState Simulator::make_iter_state(
     NewtonIterState st;
     st.fast_reuse = fast && options_.kernel.reuse_lu;
     st.use_bypass = fast && options_.kernel.bypass_tol_v > 0.0;
-    st.banded = fast && options_.kernel.banded_lu;
     return st;
 }
 
@@ -239,11 +250,9 @@ Simulator::NewtonStatus Simulator::newton_iteration(
     const std::span<double> rhs(ws_.residual.data(), n_unknowns_);
 
     bool just_factored = false;
-    const bool factor_valid =
-        ws_.banded_active ? ws_.blu.valid() : ws_.lu.valid();
     const bool lu_reusable = st.fast_reuse && !st.force_factor &&
-                             st.reuse_run < options_.kernel.reuse_iter_limit &&
-                             factor_valid && ws_.lu_h == h &&
+                             st.reuse_run < kReuseIterLimit &&
+                             ws_.lu.valid() && ws_.lu_h == h &&
                              ws_.lu_integ == integ &&
                              ws_.lu_gmin == params.gmin;
     if (lu_reusable) {
@@ -253,9 +262,7 @@ Simulator::NewtonStatus Simulator::newton_iteration(
         assemble(volts, h, caps, integ, params.gmin, /*want_jac=*/false,
                  st.use_bypass);
         for (double& r : rhs) r = -r;
-        const bool ok = ws_.banded_active ? ws_.blu.solve(rhs, delta)
-                                          : ws_.lu.solve(rhs, delta);
-        if (!ok) return NewtonStatus::Singular;
+        if (!ws_.lu.solve(rhs, delta)) return NewtonStatus::Singular;
         ++ws_.lu_reuses;
         ++st.reuse_run;
     } else {
@@ -264,39 +271,14 @@ Simulator::NewtonStatus Simulator::newton_iteration(
                  st.use_bypass);
         // Solve J * delta = -F.
         for (double& r : rhs) r = -r;
-        if (st.fast_reuse || st.banded) {
-            // Retained-factor path. For the dense factors this is
-            // bitwise equal to the one-shot lu_solve (see LuFactors);
-            // the banded factors are the documented non-bitwise opt-in.
-            bool banded_done = false;
-            if (st.banded && !ws_.banded_fallback) {
-                if (!ws_.banded_planned) {
-                    // The plan is a property of the sparsity pattern,
-                    // which is fixed per circuit: analyze once.
-                    ws_.banded_plan = BandedLuFactors::analyze(jac);
-                    ws_.banded_planned = true;
-                }
-                if (ws_.banded_plan.banded) {
-                    if (ws_.blu.factor(jac, ws_.banded_plan)) {
-                        banded_done = true;
-                        ++ws_.banded_factors;
-                    } else {
-                        ws_.banded_fallback = true; // Pivot degenerated.
-                    }
-                } else {
-                    ws_.banded_fallback = true; // Pattern not banded.
-                }
-            }
-            if (!banded_done) {
-                if (!ws_.lu.factor(jac)) return NewtonStatus::Singular;
-            }
-            ws_.banded_active = banded_done;
+        if (st.fast_reuse) {
+            // Retained-factor path: bitwise equal to the one-shot
+            // lu_solve (see LuFactors), and kept for the re-solves.
+            if (!ws_.lu.factor(jac)) return NewtonStatus::Singular;
             ws_.lu_h = h;
             ws_.lu_integ = integ;
             ws_.lu_gmin = params.gmin;
-            const bool ok = banded_done ? ws_.blu.solve(rhs, delta)
-                                        : ws_.lu.solve(rhs, delta);
-            if (!ok) return NewtonStatus::Singular;
+            if (!ws_.lu.solve(rhs, delta)) return NewtonStatus::Singular;
         } else {
             // One-shot solve: no factorization outlives the iteration, so
             // a later fast attempt can never reuse a ladder rung's.
@@ -334,8 +316,7 @@ Simulator::NewtonStatus Simulator::newton_iteration(
     }
     // Stall detection: a reused-Jacobian iteration that failed to
     // shrink the update meaningfully forces a fresh factorization.
-    if (!just_factored &&
-        max_dv > options_.kernel.reuse_stall_ratio * st.prev_max_dv) {
+    if (!just_factored && max_dv > kReuseStallRatio * st.prev_max_dv) {
         st.force_factor = true;
     }
     st.prev_max_dv = max_dv;
@@ -358,9 +339,6 @@ Simulator::NewtonStatus Simulator::solve_newton(
                            : (st.use_bypass ? "bypass" : "classic"));
     if (st.use_bypass) {
         span.tag("eval", util::simd_level_name(ws_.batch->level()));
-    }
-    if (st.banded) {
-        span.tag("lu", ws_.banded_fallback ? "dense" : "banded");
     }
 
     while (st.it < params.max_iters) {
@@ -625,7 +603,7 @@ Simulator::NewtonStatus Simulator::settle_step(
 
     // A failed fast solve may hold a factorization from the divergent
     // trajectory; the halving/ladder rescue starts clean.
-    invalidate_factors();
+    ws_.lu.invalidate();
 
     // Legacy rescue: halve the step into two sub-steps. An injected
     // failure skips this (it models a failure halving cannot fix, and
@@ -732,8 +710,17 @@ void Simulator::TransientRun::record(double t) {
 }
 
 void Simulator::validate_spec(const Circuit& circuit, const TransientSpec& spec) {
-    if (spec.t_stop <= 0.0 || spec.dt <= 0.0) {
-        throw std::invalid_argument("transient: t_stop and dt must be > 0");
+    if (!std::isfinite(spec.t_stop) || !std::isfinite(spec.dt) ||
+        spec.t_stop <= 0.0 || spec.dt <= 0.0) {
+        throw std::invalid_argument("transient: t_stop and dt must be finite and > 0");
+    }
+    // start_transient casts the step count to long. (Both operands are
+    // finite and > 0, so the count is >= 0, possibly +inf.)
+    const double steps = step_count(spec);
+    if (!(steps >= 1.0 &&
+          steps < static_cast<double>(std::numeric_limits<long>::max()))) {
+        throw std::invalid_argument(
+            "transient: t_stop / dt must give at least one step and fit in a long");
     }
     if (spec.record_stride < 1) {
         throw std::invalid_argument("transient: record_stride must be >= 1");
@@ -791,13 +778,13 @@ std::optional<SimError> Simulator::start_transient(const TransientSpec& spec,
     }
 
     run.record(0.0);
-    run.n_steps = static_cast<long>(std::ceil(spec.t_stop / spec.dt - 1e-9));
+    run.n_steps = static_cast<long>(step_count(spec));
 
     // The kernel counters measure the transient only (the DC start above
     // ran on the classic path); a kept factorization or bypass cache
     // from a previous run must not leak across calls either.
     ws_.reset_stats();
-    invalidate_factors();
+    ws_.lu.invalidate();
     ws_.batch->invalidate_cache(batch_block_);
     return std::nullopt;
 }
@@ -847,7 +834,6 @@ Result<TransientResult> Simulator::finish_transient(
     result.device_evals = dev.device_evals;
     result.batch_lanes = dev.batch_lanes;
     result.simd_groups = dev.simd_groups;
-    result.banded_factors = ws_.banded_factors;
     if (error) return std::move(*error);
 
     // Publish the kernel statistics once per run, off the per-step hot
@@ -858,7 +844,6 @@ Result<TransientResult> Simulator::finish_transient(
         {"spice.eval.bypass_hits", result.bypass_hits},
         {"spice.eval.batch_lanes", result.batch_lanes},
         {"spice.eval.simd_groups", result.simd_groups},
-        {"spice.lu.banded_factors", result.banded_factors},
     };
     auto& metrics = exec::MetricsRegistry::global();
     for (const auto& [name, n] : counters) {

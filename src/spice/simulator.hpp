@@ -10,18 +10,20 @@
 //
 // Every solve assembles its MOSFET stamps through one evaluator, the
 // Simulator's spice::DeviceBatch (SoA lanes, bitwise identical to
-// phys::evaluate). Performance kernel (opt-in via SimOptions::kernel,
-// default off and bitwise identical to the historical engine):
-//   * a preallocated per-Simulator Workspace (Jacobian, residual,
-//     delta, trial state, LU factors, device batch) makes the steady
-//     state of advance()/solve_newton() allocation-free;
+// phys::evaluate; its lane kernel is the CPU probe's), and factors a
+// dense LU. A preallocated per-Simulator Workspace (Jacobian, residual,
+// delta, trial state, LU factors, device batch) makes the steady state
+// of advance()/solve_newton() allocation-free. Performance kernel
+// (opt-in via SimOptions::kernel, default off and bitwise identical to
+// the historical engine):
 //   * modified Newton: the LU factorization is kept and re-solved
 //     across iterations and across steps of equal width, refactoring
-//     only when convergence stalls (spice.newton.refactor /
-//     spice.newton.reuse metrics);
+//     when convergence stalls or after two re-solves
+//     (spice.newton.refactor / spice.newton.reuse metrics);
 //   * device-evaluation bypass: a MOSFET whose terminal voltages moved
 //     less than bypass_tol_v since its last phys::evaluate is restamped
-//     from the cached linearization (spice.eval.bypass_hits).
+//     from the cached linearization (spice.eval.bypass_hits);
+//   * lock-step width for the sweep layers (spice/lockstep.hpp).
 //
 // Fault tolerance: the try_* entry points return spice::Result<T>
 // carrying a structured SimError instead of throwing, and failed solves
@@ -51,7 +53,6 @@
 #include "spice/waveform.hpp"
 
 #include "exec/cancel.hpp"
-#include "util/simd.hpp"
 
 #include <chrono>
 #include <functional>
@@ -77,39 +78,20 @@ enum class Integrator {
 /// benches use.
 struct TransientOptions {
     /// Modified Newton: keep the LU factorization and re-solve against
-    /// it across iterations (and across steps of equal width),
-    /// refactoring only when convergence stalls.
+    /// it across iterations (and across steps of equal width), at most
+    /// two re-solves per factorization. A reused-Jacobian iteration
+    /// whose max |dV| failed to shrink below 0.3 of the previous
+    /// iteration's forces a fresh factorization — any stall refactors
+    /// at once rather than limping along on a stale Jacobian. A relaxed
+    /// stall ratio (0.9, the obvious choice against the ring's 0.6-0.8
+    /// contraction rate) reuses far more but nearly doubles the
+    /// iteration count and loses outright; see DESIGN §15.
     bool reuse_lu = false;
-    /// Forced-refactor threshold: consecutive re-solves against one
-    /// factorization before a fresh factorization is required.
-    int reuse_iter_limit = 8;
-    /// Stall-detection threshold: a reused-Jacobian iteration whose
-    /// max |dV| failed to shrink below this fraction of the previous
-    /// iteration's forces a fresh factorization. The historical engine
-    /// hard-coded 0.5, which on the ring's modified-Newton contraction
-    /// rate (~0.6-0.8 per iteration) flagged nearly every reused
-    /// iteration as a stall and refactored anyway — the reason PR 3
-    /// measured reuse_lu as a net loss. Must be > 0.
-    double reuse_stall_ratio = 0.5;
 
     /// Device-evaluation bypass tolerance [V]: a MOSFET whose terminal
     /// voltages moved less than this since its last real evaluation is
     /// restamped from the cached linearization. 0 disables bypass.
     double bypass_tol_v = 0.0;
-
-    /// Lane-kernel dispatch for the device batch (scalar and AVX2
-    /// kernels are bitwise identical; the STSENSE_SIMD env var
-    /// overrides this).
-    util::SimdMode simd = util::SimdMode::Auto;
-
-    /// Structure-exploiting bordered-band LU for the ring's MNA pattern
-    /// (O(n*b^2) instead of O(n^3) per factorization). The banded
-    /// elimination order differs from the pivoted dense core, so results
-    /// agree to rounding but are NOT bitwise identical — opt-in, and
-    /// part of the sweep cache fingerprint. Falls back to dense
-    /// LuFactors permanently when the pattern is not banded (or a
-    /// pivot degenerates).
-    bool banded_lu = false;
 
     /// Lock-step multi-point width for the sweep layers: sweep points
     /// sharing a grid stamp advance their Newton iterations together
@@ -123,25 +105,12 @@ struct TransientOptions {
 
     /// The tuned fast path: 0.5 mV device bypass (the ring's Jacobian
     /// is tiny, so phys::evaluate dominates each iteration and bypass
-    /// is the big win), banded LU on the ring's bordered-band MNA
-    /// pattern, lock-step multi-point evaluation, and modified Newton
-    /// gated on strict contraction.
-    /// The reuse tuning is counter-intuitive and deliberate: with the
-    /// banded kernel a factorization is cheap, so the preset reuses a
-    /// factorization only while the iteration contracts hard (ratio
-    /// 0.3) and for at most 2 iterations — any stall refactors
-    /// immediately rather than limping along on a stale Jacobian. A
-    /// relaxed threshold (0.9, the obvious choice against the ring's
-    /// 0.6-0.8 contraction rate) reuses far more but nearly doubles
-    /// the iteration count and loses outright; see DESIGN §15 for the
-    /// measured ablation.
+    /// is the big win), contraction-gated modified Newton, and
+    /// lock-step multi-point evaluation.
     static TransientOptions fast() {
         TransientOptions k;
         k.bypass_tol_v = 5e-4;
-        k.banded_lu = true;
         k.reuse_lu = true;
-        k.reuse_iter_limit = 2;
-        k.reuse_stall_ratio = 0.3;
         k.lockstep_width = 8;
         return k;
     }
@@ -218,8 +187,6 @@ struct TransientResult {
     long batch_lanes = 0;    ///< SoA lanes processed by the device batch
                              ///< (spice.eval.batch_lanes).
     long simd_groups = 0;    ///< 4-lane AVX2 groups (spice.eval.simd_groups).
-    long banded_factors = 0; ///< Banded-LU factorizations
-                             ///< (spice.lu.banded_factors).
 
     /// Energy delivered by each driven node's source over the run [J],
     /// indexed by NodeId::index (zero for undriven nodes). Filled when
@@ -314,9 +281,9 @@ private:
         /// the fault injector sabotages attempts with
         /// rung_index < newton_fail_rungs of a tripped solve event.
         int rung_index = 0;
-        /// Allows the solve to use the fast kernel's LU-reuse/bypass/
-        /// banded shortcuts (rung-0 transient attempts only; DC and the
-        /// ladder rungs always run the classic path).
+        /// Allows the solve to use the fast kernel's LU-reuse/bypass
+        /// shortcuts (rung-0 transient attempts only; DC and the ladder
+        /// rungs always run the classic path).
         bool allow_fast = false;
     };
 
@@ -351,7 +318,6 @@ private:
         // Path selection, fixed per attempt (make_iter_state).
         bool fast_reuse = false; ///< Modified Newton (LU kept across iters).
         bool use_bypass = false; ///< Device bypass caches allowed.
-        bool banded = false;     ///< Banded LU requested (may fall back).
         // Loop-carried iteration state.
         int it = 0;
         int reuse_run = 0;
@@ -373,23 +339,11 @@ private:
         std::vector<CapState> trial_caps;
 
         // Modified-Newton factorization + the (h, integ, gmin)
-        // signature it was assembled under. When banded_active, the
-        // live factorization is blu instead of lu (same signature
-        // fields; only one factorization is current at a time).
+        // signature it was assembled under.
         LuFactors lu;
         double lu_h = -1.0;
         Integrator lu_integ = Integrator::Trapezoidal;
         double lu_gmin = -1.0;
-
-        // Banded-LU state (kernel.banded_lu). The plan is a property of
-        // the circuit's sparsity pattern, so it is computed once per
-        // Simulator; banded_fallback latches permanently when the
-        // pattern is not banded or a pivot degenerates.
-        BandedLuFactors blu;
-        BandedLuFactors::Plan banded_plan;
-        bool banded_planned = false;
-        bool banded_fallback = false;
-        bool banded_active = false; ///< blu (not lu) holds the live factors.
 
         // The device evaluator. shared_ptr because the lock-step sweep
         // hands one multi-block batch to several Simulators (each using
@@ -409,10 +363,9 @@ private:
         // (the device counters accumulate in batch_stats).
         long lu_refactors = 0;
         long lu_reuses = 0;
-        long banded_factors = 0;
 
         void reset_stats() {
-            lu_refactors = lu_reuses = banded_factors = 0;
+            lu_refactors = lu_reuses = 0;
             batch_stats = DeviceBatch::Stats{};
         }
     };
@@ -538,20 +491,14 @@ private:
                        const std::vector<CapState>* caps, Integrator integ,
                        bool use_bypass, TransientResult& result) const;
 
-    /// Drops every kept factorization (dense and banded).
-    void invalidate_factors() const {
-        ws_.lu.invalidate();
-        ws_.blu.invalidate();
-        ws_.banded_active = false;
-    }
-
     // --- One transient, in the order a run calls them. try_transient
     // and the lock-step runner share each of these, so a lock-step point
     // starts, steps, fails and finishes exactly like a solo run. ---
 
-    /// Throws std::invalid_argument on a malformed spec: t_stop, dt,
-    /// record_stride, or an initial condition on a missing or driven
-    /// node.
+    /// Throws std::invalid_argument on a malformed spec: a t_stop or dt
+    /// that is not finite and > 0, a step count t_stop / dt that does
+    /// not fit in a long, record_stride, or an initial condition on a
+    /// missing or driven node.
     static void validate_spec(const Circuit& circuit, const TransientSpec& spec);
 
     /// The transient head: budget, DC start (or the driven flat start),

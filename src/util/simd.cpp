@@ -1,8 +1,5 @@
 #include "util/simd.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace stsense::util {
 
 namespace {
@@ -25,40 +22,8 @@ const SimdCaps& simd_caps() {
     return caps;
 }
 
-bool parse_simd_override(const char* value, SimdMode& out) {
-    if (value == nullptr || *value == '\0') return false;
-    if (std::strcmp(value, "scalar") == 0) {
-        out = SimdMode::ForceScalar;
-        return true;
-    }
-    if (std::strcmp(value, "avx2") == 0) {
-        out = SimdMode::ForceAvx2;
-        return true;
-    }
-    if (std::strcmp(value, "auto") == 0) {
-        out = SimdMode::Auto;
-        return true;
-    }
-    return false;
-}
-
-SimdLevel resolve_simd(SimdMode mode) {
-    SimdMode effective = mode;
-    SimdMode env_mode;
-    if (parse_simd_override(std::getenv("STSENSE_SIMD"), env_mode)) {
-        effective = env_mode;
-    }
-    switch (effective) {
-        case SimdMode::ForceScalar:
-            return SimdLevel::Scalar;
-        case SimdMode::ForceAvx2:
-        case SimdMode::Auto:
-            // Forcing AVX2 on a CPU without it degrades to scalar: the
-            // scalar path is always available and always correct, and
-            // the two are bitwise-identical by contract anyway.
-            return simd_caps().avx2 ? SimdLevel::Avx2 : SimdLevel::Scalar;
-    }
-    return SimdLevel::Scalar;
+SimdLevel resolve_simd() {
+    return simd_caps().avx2 ? SimdLevel::Avx2 : SimdLevel::Scalar;
 }
 
 const char* simd_level_name(SimdLevel level) {

@@ -1,12 +1,13 @@
-// util::simd — runtime SIMD capability probe and dispatch policy.
+// util::simd — runtime SIMD capability probe and dispatch level.
 //
 // The batched device evaluator (spice::DeviceBatch) carries two code
 // paths for its hot restamp/mask arithmetic: portable scalar and AVX2.
 // Which one runs is decided *at runtime* from the CPU the process
-// actually landed on, so one binary serves every x86-64 machine — and
-// the choice can be pinned for testing through the STSENSE_SIMD
-// environment variable (the tier-1 parity suite runs the whole test
-// set once per dispatch to prove the paths bitwise-identical).
+// actually landed on, so one binary serves every x86-64 machine. The
+// probe is the only input: no option or environment variable pins a
+// level. The kernels' parity is a unit test
+// (DeviceBatchSimd.ScalarAndAvx2KernelsBitwiseIdentical), which calls
+// both directly.
 //
 // The contract both paths must honor: identical results bit for bit.
 // The vector path therefore performs exactly the scalar expressions in
@@ -33,29 +34,12 @@ enum class SimdLevel {
     Avx2,
 };
 
-/// Dispatch request carried by the option structs: Auto picks the best
-/// probed level, the others force one (forcing a level the CPU lacks
-/// silently degrades to Scalar — the scalar path is always correct).
-enum class SimdMode {
-    Auto,
-    ForceScalar,
-    ForceAvx2,
-};
-
 /// CPU capability probe (cached after the first call; never throws).
 const SimdCaps& simd_caps();
 
-/// Resolves a requested mode against the probed caps and the
-/// STSENSE_SIMD environment override. Precedence: environment variable
-/// beats the mode argument beats the probe — so a CI lane can pin
-/// `STSENSE_SIMD=scalar` without touching any call site.
-SimdLevel resolve_simd(SimdMode mode = SimdMode::Auto);
-
-/// Parses a STSENSE_SIMD-style string ("scalar", "avx2", "auto", case
-/// sensitive by design — these are machine-written CI values). Returns
-/// false and leaves `out` untouched for anything else (including
-/// nullptr/empty, which mean "no override").
-bool parse_simd_override(const char* value, SimdMode& out);
+/// The level the device batch dispatches to: Avx2 when the probe
+/// reports it, else Scalar.
+SimdLevel resolve_simd();
 
 /// Human-readable level name ("scalar" / "avx2") for logs and benches.
 const char* simd_level_name(SimdLevel level);

@@ -34,7 +34,7 @@ TEST(RuntimeOptions, DefaultsProjectTheLayerDefaults) {
     const spice::TransientOptions tref;
     EXPECT_EQ(trans.reuse_lu, tref.reuse_lu);
     EXPECT_EQ(trans.bypass_tol_v, tref.bypass_tol_v);
-    EXPECT_EQ(trans.banded_lu, tref.banded_lu);
+    EXPECT_EQ(trans.lockstep_width, tref.lockstep_width);
 
     const auto spice_opt = rt.spice_ring_options();
     const ring::SpiceRingOptions sref;
@@ -139,65 +139,27 @@ TEST(RuntimeOptions, MonitorConfigAppliesHealthAndPassesBaseThrough) {
 }
 
 TEST(RuntimeOptions, FastKernelProjectsTheTunedPresets) {
+    // fast_kernel is the whole kernel surface: on, every projection
+    // carries the tuned presets field for field; off again, the
+    // seed-identical defaults.
     RuntimeOptions rt;
     rt.fast_kernel(true);
     const auto trans = rt.transient_options();
     const auto fast = spice::TransientOptions::fast();
     EXPECT_EQ(trans.reuse_lu, fast.reuse_lu);
     EXPECT_EQ(trans.bypass_tol_v, fast.bypass_tol_v);
-    EXPECT_EQ(trans.banded_lu, fast.banded_lu);
+    EXPECT_EQ(trans.lockstep_width, fast.lockstep_width);
     const auto spice_opt = rt.spice_ring_options();
     EXPECT_TRUE(spice_opt.early_exit);
     EXPECT_EQ(spice_opt.kernel.bypass_tol_v, fast.bypass_tol_v);
-}
+    EXPECT_EQ(spice_opt.kernel.lockstep_width, fast.lockstep_width);
 
-TEST(RuntimeOptions, KernelKnobsOverrideTheSelectedPreset) {
-    // On top of the defaults: each knob opts one feature in while the
-    // rest of the kernel stays seed-identical.
-    {
-        const auto t = RuntimeOptions()
-                           .simd(util::SimdMode::ForceScalar)
-                           .lockstep(4)
-                           .transient_options();
-        EXPECT_EQ(t.simd, util::SimdMode::ForceScalar);
-        EXPECT_EQ(t.lockstep_width, 4);
-        EXPECT_FALSE(t.banded_lu);
-        EXPECT_FALSE(t.reuse_lu);
-        EXPECT_EQ(t.bypass_tol_v, spice::TransientOptions{}.bypass_tol_v);
-    }
-    // On top of the fast preset: each knob opts one feature back out.
-    {
-        const auto t = RuntimeOptions()
-                           .fast_kernel(true)
-                           .banded_lu(false)
-                           .lockstep(1)
-                           .transient_options();
-        EXPECT_FALSE(t.banded_lu);
-        EXPECT_EQ(t.lockstep_width, 1);
-        EXPECT_TRUE(t.reuse_lu); // The rest of the preset survives.
-        EXPECT_EQ(t.bypass_tol_v, spice::TransientOptions::fast().bypass_tol_v);
-    }
-    // The ring projection carries the overridden kernel too.
-    {
-        const auto o = RuntimeOptions()
-                           .fast_kernel(true)
-                           .lockstep(2)
-                           .spice_ring_options();
-        EXPECT_TRUE(o.early_exit);
-        EXPECT_EQ(o.kernel.lockstep_width, 2);
-    }
-    // Untouched knobs project bitwise the layer defaults (lockstep 0 =
-    // keep the preset's width, unset overrides = the preset's choice).
-    {
-        const auto t = RuntimeOptions().transient_options();
-        const spice::TransientOptions ref;
-        EXPECT_EQ(t.banded_lu, ref.banded_lu);
-        EXPECT_EQ(t.simd, ref.simd);
-        EXPECT_EQ(t.lockstep_width, ref.lockstep_width);
-        const auto f = RuntimeOptions().fast_kernel(true).transient_options();
-        EXPECT_EQ(f.lockstep_width,
-                  spice::TransientOptions::fast().lockstep_width);
-    }
+    rt.fast_kernel(false);
+    const spice::TransientOptions def;
+    EXPECT_EQ(rt.transient_options().reuse_lu, def.reuse_lu);
+    EXPECT_EQ(rt.transient_options().bypass_tol_v, def.bypass_tol_v);
+    EXPECT_EQ(rt.transient_options().lockstep_width, def.lockstep_width);
+    EXPECT_FALSE(rt.spice_ring_options().early_exit);
 }
 
 TEST(RuntimeOptions, ValidationRejectsEachBadKnobByName) {
@@ -222,7 +184,6 @@ TEST(RuntimeOptions, ValidationRejectsEachBadKnobByName) {
     inverted.temp_min_c = 100.0;
     inverted.temp_max_c = -100.0;
     expect_rejects(RuntimeOptions().health(inverted), "temp_min_c");
-    expect_rejects(RuntimeOptions().lockstep(-1), "lockstep");
 }
 
 TEST(RuntimeOptions, EveryProjectionValidates) {

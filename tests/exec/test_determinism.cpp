@@ -150,8 +150,9 @@ TEST(ExecDeterminism, MonteCarloBatchIdenticalAcrossThreadCounts) {
     const util::Rng base(12345);
     exec::ThreadPool one(1);
     exec::ThreadPool many(4);
-    const auto a = phys::sample_variation_batch(tech, spec, base, 32, &one);
-    const auto b = phys::sample_variation_batch(tech, spec, base, 32, &many);
+    std::vector<phys::Technology> a(32), b(32);
+    phys::VariationStream(tech, spec, base).next_n(a, &one);
+    phys::VariationStream(tech, spec, base).next_n(b, &many);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].nmos.vth0, b[i].nmos.vth0) << "trial " << i;
@@ -167,7 +168,8 @@ TEST(ExecDeterminism, MonteCarloTrialMatchesItsSplitStream) {
     const auto tech = phys::cmos350();
     const phys::VariationSpec spec;
     const util::Rng base(999);
-    const auto batch = phys::sample_variation_batch(tech, spec, base, 8);
+    std::vector<phys::Technology> batch(8);
+    phys::VariationStream(tech, spec, base).next_n(batch, nullptr);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         util::Rng trial = base.split(static_cast<std::uint64_t>(i));
         const auto expected = phys::sample_variation(tech, spec, trial);

@@ -125,6 +125,43 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     }
 }
 
+/// Set while this thread runs a job of the top-level test below.
+thread_local bool tl_in_job = false;
+
+TEST(ThreadPool, TopLevelJobsNeverStartInsideAWait) {
+    // Each job holds a lock across its fan-out, as a service session
+    // job does. Waiters help run the fan-out chunks but must leave the
+    // queued jobs to the worker loops: a job started inside another
+    // job's wait would take the lock its own thread already holds (the
+    // test counts that case instead of deadlocking on it).
+    for (const int threads : {1, 2, 4}) {
+        ThreadPool pool(threads);
+        std::mutex session;
+        std::atomic<int> nested{0};
+        std::atomic<int> chunks{0};
+        TaskGroup jobs(pool, /*top_level=*/true);
+        for (int j = 0; j < 8; ++j) {
+            jobs.run([&] {
+                if (tl_in_job) {
+                    ++nested;
+                    return;
+                }
+                tl_in_job = true;
+                {
+                    std::lock_guard lock(session);
+                    pool.parallel_for(16, 1, [&](std::size_t begin, std::size_t end) {
+                        chunks += static_cast<int>(end - begin);
+                    });
+                }
+                tl_in_job = false;
+            });
+        }
+        jobs.wait();
+        EXPECT_EQ(nested.load(), 0) << "threads=" << threads;
+        EXPECT_EQ(chunks.load(), 8 * 16) << "threads=" << threads;
+    }
+}
+
 TEST(TaskGroup, RunsHeterogeneousJobs) {
     ThreadPool pool(2);
     std::atomic<int> a{0};

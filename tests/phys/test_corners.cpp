@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace stsense::phys {
 namespace {
@@ -100,7 +101,8 @@ TEST(Variation, BatchSamplesMatchPerTrialStreams) {
     const Technology base = cmos350();
     VariationSpec spec;
     const util::Rng rng(77);
-    const auto batch = sample_variation_batch(base, spec, rng, 5);
+    std::vector<Technology> batch(5);
+    VariationStream(base, spec, rng).next_n(batch, nullptr);
     ASSERT_EQ(batch.size(), 5u);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         util::Rng trial = rng.split(static_cast<std::uint64_t>(i));
@@ -114,7 +116,11 @@ TEST(Variation, BatchSamplesMatchPerTrialStreams) {
 TEST(Variation, BatchOfZeroTrialsIsEmpty) {
     const Technology base = cmos350();
     const util::Rng rng(77);
-    EXPECT_TRUE(sample_variation_batch(base, VariationSpec{}, rng, 0).empty());
+    VariationStream stream(base, VariationSpec{}, rng);
+    std::vector<Technology> batch;
+    stream.next_n(batch, nullptr);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(stream.cursor(), 0u);
 }
 
 TEST(Variation, VddVariationOptIn) {

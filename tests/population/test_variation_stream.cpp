@@ -1,9 +1,9 @@
 // phys::VariationStream — the lazy redesign of Monte-Carlo die
-// sampling. The load-bearing contracts: at(i) is bitwise the old
-// materialize-all batch's element i (the shim equivalence), random
-// access is pure in (base, i), next_n() is cursor sugar over at(), and
-// the continuation Rng decouples downstream draws from the variation
-// draws.
+// sampling. The load-bearing contracts: at(i) is bitwise slot i of a
+// whole-population next_n() fill (what the deleted materialize-all
+// batch call returned), random access is pure in (base, i), next_n()
+// is cursor sugar over at(), and the continuation Rng decouples
+// downstream draws from the variation draws.
 #include "phys/corners.hpp"
 
 #include "phys/technology.hpp"
@@ -37,7 +37,8 @@ TEST(VariationStream, MatchesBatchShimBitwise) {
     const util::Rng base(42);
     constexpr std::size_t kDice = 64;
 
-    const auto batch = sample_variation_batch(tech, spec, base, kDice);
+    std::vector<Technology> batch(kDice);
+    VariationStream(tech, spec, base).next_n(batch, nullptr);
     const VariationStream stream(tech, spec, base);
     ASSERT_EQ(batch.size(), kDice);
     for (std::size_t i = 0; i < kDice; ++i) {

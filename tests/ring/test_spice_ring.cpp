@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
 
 namespace stsense::ring {
 namespace {
@@ -144,6 +147,51 @@ TEST(SpiceRing, BadOptionsThrow) {
     opt = SpiceRingOptions{};
     opt.steps_per_period = 5;
     EXPECT_THROW(m.simulate(300.0, opt), std::invalid_argument);
+}
+
+void expect_non_finite_estimate(const spice::Result<RingSimResult>& r) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().kind, spice::SimErrorKind::NonFiniteState);
+    EXPECT_NE(r.error().message.find("period estimate "), std::string::npos)
+        << r.error().message;
+    EXPECT_NE(r.error().message.find("nan s at"), std::string::npos)
+        << r.error().message;
+}
+
+TEST(SpiceRing, NonFiniteEstimateIsATypedErrorBeforeAnySimulation) {
+    // At 1e300 K the analytic estimate that paces the transient is NaN;
+    // dt and t_stop built from it used to reach a float-to-long cast.
+    const SpiceRingModel m(phys::cmos350(), RingConfig::uniform(CellKind::Inv, 5));
+    const double too_hot = 1e300;
+    ASSERT_FALSE(std::isfinite(AnalyticRingModel(phys::cmos350(),
+                                                 RingConfig::uniform(CellKind::Inv, 5))
+                                   .period(too_hot)));
+    expect_non_finite_estimate(m.try_simulate(too_hot, SpiceRingOptions::fast()));
+    expect_non_finite_estimate(m.try_simulate(too_hot, fast_options()));
+}
+
+TEST(SpiceRing, BatchRefusesOnlyThePointWithANonFiniteEstimate) {
+    const SpiceRingModel m(phys::cmos350(), RingConfig::uniform(CellKind::Inv, 5));
+    SpiceRingOptions opt = SpiceRingOptions::fast();
+    opt.skip_cycles = 2;
+    opt.measure_cycles = 4;
+    opt.steps_per_period = 200;
+    const double temps_k[] = {1e300, 300.0, 1e300};
+    const auto rs = m.try_simulate_batch(temps_k, opt);
+    ASSERT_EQ(rs.size(), 3u);
+    expect_non_finite_estimate(rs[0]);
+    expect_non_finite_estimate(rs[2]);
+    ASSERT_TRUE(rs[1].ok()) << rs[1].error().to_string();
+    const auto solo = m.try_simulate(300.0, opt);
+    ASSERT_TRUE(solo.ok());
+    EXPECT_EQ(rs[1].value().period, solo.value().period);
+
+    // A batch of only refused points simulates nothing.
+    const double hot_only[] = {1e300};
+    expect_non_finite_estimate(m.try_simulate_batch(hot_only, opt).at(0));
+    // fault_ctx must still match the points.
+    const std::uint64_t ctx[] = {1, 2};
+    EXPECT_THROW((void)m.try_simulate_batch(temps_k, opt, ctx), std::invalid_argument);
 }
 
 } // namespace

@@ -12,7 +12,10 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -248,14 +251,13 @@ TEST(ServiceRuntime, KernelNodeReportsConfigAndCounters) {
     // The plain session projects the seed-identical engine.
     const Json plain = kernel_of(1, 0);
     EXPECT_FALSE(plain.at("fast").as_bool());
-    EXPECT_FALSE(plain.at("banded_lu").as_bool());
+    EXPECT_FALSE(plain.at("reuse_lu").as_bool());
     EXPECT_EQ(plain.at("lockstep_width").as_int64(), 1);
 
     // The fast session projects the full tuned preset; the simd leaf is
-    // the *resolved* dispatch (so it honors STSENSE_SIMD and the CPU).
+    // the lane kernel the CPU probe picks.
     const Json before = kernel_of(2, 1);
     EXPECT_TRUE(before.at("fast").as_bool());
-    EXPECT_TRUE(before.at("banded_lu").as_bool());
     EXPECT_TRUE(before.at("reuse_lu").as_bool());
     EXPECT_EQ(before.at("lockstep_width").as_int64(), 8);
     const std::string simd = before.at("simd").as_string();
@@ -275,8 +277,8 @@ TEST(ServiceRuntime, KernelNodeReportsConfigAndCounters) {
     const Json after = kernel_of(4, 1);
     EXPECT_GT(after.at("batch_lanes").as_int64(),
               before.at("batch_lanes").as_int64());
-    EXPECT_GT(after.at("banded_factors").as_int64(),
-              before.at("banded_factors").as_int64());
+    EXPECT_GT(after.at("lu_reuses").as_int64(),
+              before.at("lu_reuses").as_int64());
     EXPECT_GT(after.at("bypass_hits").as_int64(),
               before.at("bypass_hits").as_int64());
 
@@ -327,6 +329,44 @@ TEST(ServiceRuntime, HostileInputYieldsTypedErrorsNeverDisconnects) {
     r = client.call(6, "ping");
     EXPECT_TRUE(r.at("ok").as_bool());
 
+    server.request_shutdown();
+    server.wait();
+}
+
+TEST(ServiceRuntime, SpiceSweepPastTheModelRangeNamesTheEstimate) {
+    // Any finite t_max_c is a valid sweep bound, but at 1e300 degC the
+    // analytic period estimate that paces the SPICE transient is NaN.
+    // The error must say so, on the solo path (plain session) and the
+    // lock-step path (fast session) alike — not report a no-oscillation
+    // non-convergence after a NaN-length run.
+    ServerConfig cfg;
+    cfg.threads = 2;
+    SessionSpec fast = small_session("die-fast");
+    fast.runtime.fast_kernel(true);
+    Server server(cfg, {small_session("die-plain"), fast});
+    LoopbackTransport loopback;
+    server.start(loopback);
+    Client client(loopback.connect());
+
+    for (int session = 0; session < 2; ++session) {
+        SCOPED_TRACE("session " + std::to_string(session));
+        Json p = Json::object();
+        p.set("session", session);
+        p.set("engine", "spice");
+        p.set("t_min_c", 20.0);
+        p.set("t_max_c", 1e300);
+        p.set("points", 2);
+        const Json r = client.call(10 + session, "sweep", std::move(p));
+        ASSERT_FALSE(r.at("ok").as_bool()) << r.dump();
+        const std::string message = r.at("error").at("message").as_string();
+        EXPECT_EQ(message.rfind("non-finite-state: ", 0), 0u) << message;
+        EXPECT_NE(message.find("period estimate "), std::string::npos) << message;
+        EXPECT_NE(message.find("nan s at"), std::string::npos) << message;
+        EXPECT_EQ(message.find("non-convergence"), std::string::npos) << message;
+    }
+
+    // The connection and the server stay up.
+    EXPECT_TRUE(client.call(12, "ping").at("ok").as_bool());
     server.request_shutdown();
     server.wait();
 }
@@ -432,6 +472,68 @@ TEST(ServiceRuntime, ConcurrentIdenticalSweepsAreBitwiseIdentical) {
     Json r = probe.call(1, "query", std::move(q));
     ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
     EXPECT_GE(r.at("result").at("value").as_int(), 1) << r.dump();
+
+    server.request_shutdown();
+    server.wait();
+}
+
+TEST(ServiceRuntime, SameSessionHeavyRequestsNeverHang) {
+    // Four clients keep fresh analytic sweeps and optimizes in flight
+    // against one session on a 4-worker pool. A heavy job holds its
+    // session while its fan-out waits, and the waiting thread helps run
+    // queued pool tasks: had it started the session's next job there,
+    // that job would block on the session its own thread already holds,
+    // and every later request for the session behind it. A watchdog
+    // turns such a hang into a failed test instead of a stalled suite.
+    ServerConfig cfg;
+    cfg.threads = 4;
+    Server server(cfg, {small_session("die")});
+    LoopbackTransport loopback;
+    server.start(loopback);
+
+    std::atomic<bool> finished{false};
+    std::thread watchdog([&finished] {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (!finished.load() && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        if (!finished.load()) {
+            std::fprintf(stderr, "same-session heavy requests hung the server\n");
+            std::_Exit(1);
+        }
+    });
+
+    constexpr int kClients = 4;
+    constexpr int kRequests = 30;
+    std::atomic<int> answered_ok{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&loopback, &answered_ok, c] {
+            Client client(loopback.connect());
+            for (int i = 0; i < kRequests; ++i) {
+                // Distinct bounds per request: every job misses the
+                // result cache and fans out on the pool.
+                const double shift = 1e-3 * static_cast<double>(c * kRequests + i);
+                Json p = Json::object();
+                std::string method = "sweep";
+                if (i % 2 == 0) {
+                    p.set("t_min_c", -50.0 + shift);
+                    p.set("t_max_c", 150.0);
+                } else {
+                    method = "optimize";
+                    p.set("ratio_lo", 1.0 + shift);
+                    p.set("ratio_hi", 4.0);
+                }
+                const Json r = client.call(i + 1, method, std::move(p));
+                if (r.at("ok").as_bool()) answered_ok.fetch_add(1);
+            }
+        });
+    }
+    for (auto& t : clients) t.join();
+    finished.store(true);
+    watchdog.join();
+    EXPECT_EQ(answered_ok.load(), kClients * kRequests);
 
     server.request_shutdown();
     server.wait();

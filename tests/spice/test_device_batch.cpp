@@ -11,14 +11,18 @@
 #include "phys/technology.hpp"
 #include "ring/spice_ring.hpp"
 #include "spice/simulator.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
 
 #include "golden.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,7 +81,7 @@ struct PairFixture {
 void expect_lane_matches_phys(double temp_k) {
     PairFixture f;
     const double temps[] = {temp_k};
-    DeviceBatch batch(f.c, temps, util::SimdMode::ForceScalar);
+    DeviceBatch batch(f.c, temps);
     ASSERT_EQ(batch.lanes(), 2u);
 
     std::vector<double> volts(f.c.node_count(), 0.0);
@@ -138,82 +142,157 @@ TEST(DeviceBatchLane, BitwiseMatchesPhysEvaluateOffReferenceTemp) {
     expect_lane_matches_phys(386.5);
 }
 
-/// A wider population (odd count: 4-lane groups + tail) under a voltage
-/// schedule that mixes sub-tolerance wiggles (bypass restamps) with
-/// real moves (model evaluations).
-struct ChainFixture {
-    phys::Technology tech = phys::cmos350();
-    Circuit c;
-    std::vector<NodeId> nodes;
-    static constexpr std::size_t kDevices = 11;
+/// One block's SoA lanes, laid out and folded the way DeviceBatch lays
+/// out a block, in plain vectors the test can copy and inspect: the
+/// lane kernels run on raw detail::BatchLanes views of it.
+struct LaneStore {
+    std::size_t n = 0;
+    // Inputs, outputs and bypass caches.
+    std::vector<double> vgs, vds, out_id, out_gm, out_gds;
+    std::vector<double> cache_valid, cache_vgs, cache_vds;
+    std::vector<double> cache_id, cache_gm, cache_gds;
+    // Per-lane model constants.
+    std::vector<double> vth, kfac, akfac, alpha, alpha_m1, half_alpha;
+    std::vector<double> half_alpha_m1, vdsat_coeff, dvdsat_coeff, lambda;
+    std::vector<double> smoothing;
 
-    ChainFixture() {
-        for (std::size_t i = 0; i <= kDevices; ++i) {
-            nodes.push_back(c.add_node("n" + std::to_string(i)));
+    /// n lanes alternating NMOS/PMOS cards of growing width at temp_k.
+    LaneStore(std::size_t lanes, double temp_k) : n(lanes) {
+        for (auto* v : {&vgs, &vds, &out_id, &out_gm, &out_gds, &cache_valid,
+                        &cache_vgs, &cache_vds, &cache_id, &cache_gm, &cache_gds}) {
+            v->assign(n, 0.0);
         }
-        for (std::size_t i = 0; i < kDevices; ++i) {
-            Mosfet m;
-            m.drain = nodes[i + 1];
-            m.gate = nodes[(i + 2) % (kDevices + 1)];
-            m.source = i % 3 == 0 ? c.ground() : nodes[i];
-            m.params = i % 2 == 0 ? tech.nmos : tech.pmos;
-            m.geometry = {1e-6 + 1e-7 * static_cast<double>(i), tech.lmin};
-            c.add_mosfet(m);
+        const phys::Technology tech = phys::cmos350();
+        for (std::size_t i = 0; i < n; ++i) {
+            const phys::MosfetParams& p = i % 2 == 0 ? tech.nmos : tech.pmos;
+            const double w = 1e-6 + 2e-7 * static_cast<double>(i);
+            const double k = p.kp * (w / tech.lmin) *
+                             std::pow(temp_k / p.t0, -p.mobility_exp);
+            vth.push_back(p.vth0 - p.vth_tc * (temp_k - p.t0));
+            kfac.push_back(k);
+            akfac.push_back(p.alpha * k);
+            alpha.push_back(p.alpha);
+            alpha_m1.push_back(p.alpha - 1.0);
+            half_alpha.push_back(0.5 * p.alpha);
+            half_alpha_m1.push_back(0.5 * p.alpha - 1.0);
+            vdsat_coeff.push_back(p.vdsat_coeff);
+            dvdsat_coeff.push_back(0.5 * p.alpha * p.vdsat_coeff);
+            lambda.push_back(p.lambda);
+            smoothing.push_back(p.smoothing);
         }
     }
 
-    std::vector<double> volts_at(int round) const {
-        std::vector<double> v(c.node_count(), 0.0);
-        for (std::size_t i = 0; i < c.node_count(); ++i) {
-            const double base =
-                0.3 * static_cast<double>((i * 7 + 3) % 11) - 0.9;
-            // Rounds alternate big moves with sub-tolerance wiggles.
-            const double wiggle = round % 2 == 0
-                                      ? 0.11 * static_cast<double>(round)
-                                      : 1e-5 * static_cast<double>(round);
-            v[i] = base + wiggle;
-        }
-        return v;
+    detail::BatchLanes view() {
+        detail::BatchLanes L;
+        L.n = n;
+        L.vgs = vgs.data();
+        L.vds = vds.data();
+        L.out_id = out_id.data();
+        L.out_gm = out_gm.data();
+        L.out_gds = out_gds.data();
+        L.cache_valid = cache_valid.data();
+        L.cache_vgs = cache_vgs.data();
+        L.cache_vds = cache_vds.data();
+        L.cache_id = cache_id.data();
+        L.cache_gm = cache_gm.data();
+        L.cache_gds = cache_gds.data();
+        L.vth = vth.data();
+        L.kfac = kfac.data();
+        L.akfac = akfac.data();
+        L.alpha = alpha.data();
+        L.alpha_m1 = alpha_m1.data();
+        L.half_alpha = half_alpha.data();
+        L.half_alpha_m1 = half_alpha_m1.data();
+        L.vdsat_coeff = vdsat_coeff.data();
+        L.dvdsat_coeff = dvdsat_coeff.data();
+        L.lambda = lambda.data();
+        L.smoothing = smoothing.data();
+        return L;
     }
 };
 
-TEST(DeviceBatchSimd, ScalarAndAvx2KernelsBitwiseIdentical) {
-    ChainFixture f;
-    const double temps[] = {320.0};
-    DeviceBatch scalar(f.c, temps, util::SimdMode::ForceScalar);
-    DeviceBatch vec(f.c, temps, util::SimdMode::ForceAvx2);
-    ASSERT_EQ(scalar.level(), util::SimdLevel::Scalar);
-    if (vec.level() != util::SimdLevel::Avx2) {
-        GTEST_SKIP() << "AVX2 unavailable (CPU or STSENSE_SIMD pin)";
-    }
+bool all_bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
-    DeviceBatch::Stats ss, vs;
-    for (int round = 0; round < 8; ++round) {
-        const auto volts = f.volts_at(round);
-        scalar.gather(0, volts);
-        vec.gather(0, volts);
-        scalar.evaluate(0, /*use_cache=*/true, 5e-4, ss);
-        vec.evaluate(0, /*use_cache=*/true, 5e-4, vs);
-        const auto sid = scalar.out_id(0), vid = vec.out_id(0);
-        const auto sgm = scalar.out_gm(0), vgm = vec.out_gm(0);
-        const auto sgds = scalar.out_gds(0), vgds = vec.out_gds(0);
-        for (std::size_t lane = 0; lane < scalar.lanes(); ++lane) {
-            EXPECT_TRUE(bits_equal(sid[lane], vid[lane]))
-                << "round " << round << " lane " << lane;
-            EXPECT_TRUE(bits_equal(sgm[lane], vgm[lane]))
-                << "round " << round << " lane " << lane;
-            EXPECT_TRUE(bits_equal(sgds[lane], vgds[lane]))
-                << "round " << round << " lane " << lane;
+/// The dyadic tolerance the exact-boundary draws aim at.
+constexpr double kDyadicTol = 0x1p-11;
+
+/// One terminal voltage for the next round: a real move, a
+/// sub-tolerance wiggle, a delta of exactly +-kDyadicTol, or NaN. Every
+/// finite voltage sits on a 2^-16 V grid, so `cached +- kDyadicTol` and
+/// its difference back are exact.
+double next_voltage(util::Rng& rng, double cached) {
+    const double grid = 0x1p-16;
+    switch (rng.below(4)) {
+        case 0: // Real move anywhere on [-0.5, 3.5): mostly past tol.
+            return std::floor(rng.uniform(-0.5, 3.5) / grid) * grid;
+        case 1: // Wiggle strictly inside the tolerance.
+            return std::isfinite(cached)
+                       ? cached + grid * static_cast<double>(
+                                             static_cast<int>(rng.below(31)) - 15)
+                       : cached;
+        case 2: // Exactly at the dyadic tolerance, either side.
+            return rng.below(2) == 0 ? cached + kDyadicTol : cached - kDyadicTol;
+        default: // NaN on one in eight draws of this branch.
+            return rng.below(8) == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                     : cached;
+    }
+}
+
+TEST(DeviceBatchSimd, ScalarAndAvx2KernelsBitwiseIdentical) {
+    // Both kernels called directly on two copies of the same lanes, so
+    // the check needs no dispatch pin: it skips only on a CPU without
+    // AVX2. Lane counts 1..9 cover every tail length after a 4-lane
+    // group; the seeded rounds mix real moves, sub-tolerance wiggles,
+    // deltas exactly at the tolerance and NaN voltages (the vector mask
+    // must be NaN-false like the scalar compares), with cacheless
+    // passes in between.
+    if (!util::simd_caps().avx2) GTEST_SKIP() << "CPU lacks AVX2";
+
+    util::Rng rng(20260917);
+    long hits = 0;
+    long groups = 0;
+    for (std::size_t n = 1; n <= 9; ++n) {
+        SCOPED_TRACE("lanes " + std::to_string(n));
+        LaneStore scalar(n, 320.0);
+        LaneStore vec = scalar;
+        for (int round = 0; round < 24; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            const double tol = round % 3 == 0 ? 5e-4 : kDyadicTol;
+            const bool use_cache = round % 5 != 4;
+            for (std::size_t i = 0; i < n; ++i) {
+                scalar.vgs[i] = next_voltage(rng, scalar.cache_vgs[i]);
+                scalar.vds[i] = next_voltage(rng, scalar.cache_vds[i]);
+            }
+            vec.vgs = scalar.vgs;
+            vec.vds = scalar.vds;
+
+            detail::BatchCounters sc, vc;
+            detail::eval_lanes_scalar(scalar.view(), use_cache, tol, sc);
+            detail::eval_lanes_avx2(vec.view(), use_cache, tol, vc);
+
+            EXPECT_EQ(sc.bypass_hits, vc.bypass_hits);
+            EXPECT_EQ(sc.device_evals, vc.device_evals);
+            EXPECT_EQ(sc.simd_groups, 0);
+            EXPECT_EQ(vc.simd_groups, use_cache ? static_cast<long>(n / 4) : 0);
+            EXPECT_TRUE(all_bits_equal(scalar.out_id, vec.out_id));
+            EXPECT_TRUE(all_bits_equal(scalar.out_gm, vec.out_gm));
+            EXPECT_TRUE(all_bits_equal(scalar.out_gds, vec.out_gds));
+            EXPECT_TRUE(all_bits_equal(scalar.cache_valid, vec.cache_valid));
+            EXPECT_TRUE(all_bits_equal(scalar.cache_vgs, vec.cache_vgs));
+            EXPECT_TRUE(all_bits_equal(scalar.cache_vds, vec.cache_vds));
+            EXPECT_TRUE(all_bits_equal(scalar.cache_id, vec.cache_id));
+            EXPECT_TRUE(all_bits_equal(scalar.cache_gm, vec.cache_gm));
+            EXPECT_TRUE(all_bits_equal(scalar.cache_gds, vec.cache_gds));
+            hits += sc.bypass_hits;
+            groups += vc.simd_groups;
         }
     }
-    // Same bypass decisions on both paths; the vector path additionally
-    // reports its 4-lane groups.
-    EXPECT_EQ(ss.bypass_hits, vs.bypass_hits);
-    EXPECT_EQ(ss.device_evals, vs.device_evals);
-    EXPECT_GT(ss.bypass_hits, 0);
-    EXPECT_GT(ss.device_evals, 0);
-    EXPECT_EQ(ss.simd_groups, 0);
-    EXPECT_GT(vs.simd_groups, 0);
+    // The schedule exercised both mask outcomes and the vector path.
+    EXPECT_GT(hits, 0);
+    EXPECT_GT(groups, 0);
 }
 
 // --- DeviceBatchGolden -----------------------------------------------------
@@ -222,8 +301,8 @@ TEST(DeviceBatchSimd, ScalarAndAvx2KernelsBitwiseIdentical) {
 // recovery-ladder rungs, and default-kernel and bypass-only transients.
 // The digests below were captured from the per-device assembly walk
 // that the batch replaced, so each test pins that the batch reproduces
-// those solves bit for bit. Tier 1 runs this suite under both lane
-// dispatches (the probed level and STSENSE_SIMD=scalar).
+// those solves bit for bit. They run on the lane kernel the CPU probe
+// picks; DeviceBatchSimd holds the two kernels to each other.
 
 using golden::digest;
 

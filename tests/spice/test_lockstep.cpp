@@ -127,7 +127,6 @@ TEST(LockStep, BitwiseMatchesSoloDefaults) {
 TEST(LockStep, BitwiseMatchesSoloWithFastKernelKnobs) {
     TransientOptions k;
     k.reuse_lu = true;
-    k.reuse_stall_ratio = 0.9;
     k.bypass_tol_v = 5e-4;
     expect_lockstep_matches_solo(k);
 }

@@ -5,11 +5,14 @@
 #include "spice/simulator.hpp"
 
 #include "phys/technology.hpp"
+#include "spice/lockstep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace stsense::spice {
@@ -94,15 +97,7 @@ struct InverterFixture {
 TEST(KernelOptions, Validation) {
     const RcFixture f;
     SimOptions opt;
-    opt.kernel.reuse_iter_limit = 0;
-    EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
-
-    opt = {};
     opt.kernel.bypass_tol_v = -1e-3;
-    EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
-
-    opt = {};
-    opt.kernel.reuse_stall_ratio = 0.0;
     EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
 
     opt = {};
@@ -110,11 +105,59 @@ TEST(KernelOptions, Validation) {
     EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
 }
 
+TEST(KernelOptions, ConstructorRejectsNonFiniteOptions) {
+    // NaN passes every `x <= 0` style check, so each option is tested
+    // for finiteness explicitly.
+    const RcFixture f;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf}) {
+        SCOPED_TRACE(bad);
+        SimOptions opt;
+        opt.temp_k = bad;
+        EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
+        opt = {};
+        opt.gmin = bad;
+        EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
+        opt = {};
+        opt.kernel.bypass_tol_v = bad;
+        EXPECT_THROW(Simulator(f.c, opt), std::invalid_argument);
+    }
+}
+
+TEST(KernelOptions, TransientRejectsNonFiniteOrOverflowingLength) {
+    // Each of these used to cast NaN/inf/1e300 to long in the step
+    // count and report a zero-step run as a success.
+    const RcFixture f;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto with = [&](double t_stop, double dt) {
+        TransientSpec spec = f.spec();
+        spec.t_stop = t_stop;
+        spec.dt = dt;
+        return spec;
+    };
+    const TransientSpec bad[] = {
+        with(nan, 1e-11),   with(1e-9, nan),    with(inf, 1e-11),
+        with(1e-9, inf),    with(1e300, 1e-11), with(1e-9, 1e-310),
+        with(1e-30, 1e-9), // Rounds to zero steps.
+    };
+    for (const TransientSpec& spec : bad) {
+        SCOPED_TRACE(std::to_string(spec.t_stop) + " / " + std::to_string(spec.dt));
+        Simulator sim(f.c);
+        EXPECT_THROW((void)sim.try_transient(spec), std::invalid_argument);
+        EXPECT_THROW((void)run_lockstep(f.c, std::vector<SimOptions>(1), {&spec, 1}),
+                     std::invalid_argument);
+    }
+    // A sane spec on the same fixture still runs.
+    Simulator sim(f.c);
+    EXPECT_TRUE(sim.try_transient(with(1e-9, 1e-11)).ok());
+}
+
 TEST(KernelDefaults, AllFastFeaturesOff) {
     const TransientOptions def;
     EXPECT_FALSE(def.reuse_lu);
     EXPECT_DOUBLE_EQ(def.bypass_tol_v, 0.0);
-    EXPECT_FALSE(def.banded_lu);
     EXPECT_EQ(def.lockstep_width, 1);
 }
 

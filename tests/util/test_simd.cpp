@@ -1,36 +1,14 @@
-// util::simd — probe, override parsing, and dispatch policy. The
-// dispatch result depends on the host CPU and the STSENSE_SIMD
-// environment variable (tier-1 runs this suite under both the default
-// and a forced-scalar environment), so expectations are computed
-// against both inputs rather than hard-coded.
+// util::simd — the CPU probe and the dispatch level it selects. The
+// result depends on the host CPU, so expectations are computed against
+// the probe rather than hard-coded.
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 namespace stsense::util {
 namespace {
-
-TEST(SimdParse, RecognizedValues) {
-    SimdMode m = SimdMode::Auto;
-    EXPECT_TRUE(parse_simd_override("scalar", m));
-    EXPECT_EQ(m, SimdMode::ForceScalar);
-    EXPECT_TRUE(parse_simd_override("avx2", m));
-    EXPECT_EQ(m, SimdMode::ForceAvx2);
-    EXPECT_TRUE(parse_simd_override("auto", m));
-    EXPECT_EQ(m, SimdMode::Auto);
-}
-
-TEST(SimdParse, RejectsGarbageAndLeavesOutUntouched) {
-    SimdMode m = SimdMode::ForceAvx2;
-    EXPECT_FALSE(parse_simd_override(nullptr, m));
-    EXPECT_FALSE(parse_simd_override("", m));
-    EXPECT_FALSE(parse_simd_override("AVX2", m)); // Case-sensitive by design.
-    EXPECT_FALSE(parse_simd_override("sse", m));
-    EXPECT_EQ(m, SimdMode::ForceAvx2);
-}
 
 TEST(SimdProbe, StableAndConsistent) {
     const SimdCaps& a = simd_caps();
@@ -42,27 +20,12 @@ TEST(SimdProbe, StableAndConsistent) {
 }
 
 TEST(SimdResolve, HonorsPrecedence) {
-    const char* env = std::getenv("STSENSE_SIMD");
-    SimdMode env_mode = SimdMode::Auto;
-    const bool env_forces = parse_simd_override(env, env_mode);
-
-    if (env_forces) {
-        // Environment beats the mode argument: every request resolves to
-        // the pinned level (degraded to scalar if the CPU lacks it).
-        const SimdLevel pinned = resolve_simd(SimdMode::Auto);
-        EXPECT_EQ(resolve_simd(SimdMode::ForceScalar), pinned);
-        EXPECT_EQ(resolve_simd(SimdMode::ForceAvx2), pinned);
-        if (env_mode == SimdMode::ForceScalar) {
-            EXPECT_EQ(pinned, SimdLevel::Scalar);
-        }
-        return;
-    }
-    EXPECT_EQ(resolve_simd(SimdMode::ForceScalar), SimdLevel::Scalar);
+    // The probe is the only input left: AVX2 exactly when the CPU has
+    // it, scalar otherwise, the same answer on every call.
     const SimdLevel best =
         simd_caps().avx2 ? SimdLevel::Avx2 : SimdLevel::Scalar;
-    EXPECT_EQ(resolve_simd(SimdMode::Auto), best);
-    // Forcing a level the CPU lacks degrades to scalar, never throws.
-    EXPECT_EQ(resolve_simd(SimdMode::ForceAvx2), best);
+    EXPECT_EQ(resolve_simd(), best);
+    EXPECT_EQ(resolve_simd(), resolve_simd());
 }
 
 TEST(SimdName, Names) {
