@@ -18,11 +18,11 @@ ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 echo "== tier 1: flake gate — pool, cancel, lock-step and service suites, 20 repeats =="
 # These suites race workers against cancels, waiters and counters, and
 # the service suites race loopback clients, retries and drains against
-# the pool. A race that fails one run in N would slip through the
-# single pass above, so rerun them in parallel until one fails, 20
-# times over.
+# the pool; the fair-queue suite carries the one-job-per-session rule.
+# A race that fails one run in N would slip through the single pass
+# above, so rerun them in parallel until one fails, 20 times over.
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|Cancel|LockStep|ServiceRetry|ServiceDrainResume|ServiceRuntime|DtmService|PopulationService' \
+    -R 'ThreadPool|Cancel|LockStep|ServiceFairQueue|ServiceRetry|ServiceDrainResume|ServiceRuntime|DtmService|PopulationService' \
     --repeat until-fail:20
 
 echo "== tier 1: perf smoke — fast transient kernel ablation vs seed kernel =="
@@ -141,8 +141,10 @@ cmake --build "$repo/build-tsan" --target stsense_tests -j "$jobs"
     --gtest_filter='ThreadPool*:TaskGroup*:ResultCache*:Metrics*:Fingerprint*:ExecDeterminism*:TemperatureSweep*:PaperSweep*:Variation*:FaultInjector*:SweepFaultPolicy*:Tracer*:TraceParity*:Service*:DtmService*:CancelToken*:CancelScope*:OptimizerCancel*:Population*:VariationStream*'
 
 echo "== tier 1: whole suite under AddressSanitizer + UBSan =="
-# STSENSE_SANITIZE=address builds with -fsanitize=address,undefined and
-# -fno-sanitize-recover=undefined, so a UB report fails the run.
+# STSENSE_SANITIZE=address builds with
+# -fsanitize=address,undefined,float-cast-overflow and
+# -fno-sanitize-recover=undefined,float-cast-overflow, so a UB report —
+# an out-of-range float-to-int cast included — fails the run.
 cmake -B "$repo/build-asan" -S "$repo" -DSTSENSE_SANITIZE=address
 cmake --build "$repo/build-asan" --target stsense_tests -j "$jobs"
 # Every suite, not a hand-kept filter (which went stale with each new

@@ -52,9 +52,8 @@ class ThreadPool;
 /// A `top_level` group's jobs only ever start from a worker's own loop,
 /// never inside a thread helping in some wait(): such a job must not
 /// begin on top of another task's stack. The service's fair scheduler
-/// dispatches its request jobs this way, because a job holds its
-/// session while its fan-out waits — a waiter that started the same
-/// session's next job would block on a lock its own thread holds.
+/// dispatches its request jobs this way, so a request's answer and its
+/// cancel latency never wait for an unrelated job its waiter started.
 class TaskGroup {
 public:
     explicit TaskGroup(ThreadPool& pool, bool top_level = false)

@@ -4,9 +4,9 @@
 
 namespace stsense::service {
 
-void CommandProcessor::register_method(const std::string& name, bool heavy,
-                                       Handler handler) {
-    commands_[name] = CommandSpec{heavy, std::move(handler)};
+void CommandProcessor::register_method(const std::string& name,
+                                       WeightClass weight, Handler handler) {
+    commands_[name] = CommandSpec{weight, std::move(handler)};
 }
 
 const CommandProcessor::CommandSpec*

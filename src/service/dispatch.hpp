@@ -6,15 +6,17 @@
 // Light methods (query, ping, sessions, subscribe, shutdown...) execute
 // inline on the connection's reader thread — they only read atomics or
 // take short state locks, so they stay responsive even when every pool
-// worker is busy with sweeps. Heavy methods (measure_site, thermal_map,
-// sweep, optimize) are submitted through the FairScheduler and answer
-// out of order; the dispatcher is what turns an admission rejection into
-// a typed Overloaded/ShuttingDown response instead of a hang.
+// worker is busy with sweeps. Heavy methods are submitted through the
+// FairScheduler and answer out of order; the dispatcher is what turns
+// an admission rejection into a typed Overloaded/ShuttingDown response
+// instead of a hang. Per-session methods (measure_site, thermal_map,
+// sweep, optimize, dtm_run, population_run) are heavy methods whose
+// session is resolved at admission, so the scheduler can run one job
+// per session at a time.
 //
 // The registry itself is deliberately dumb — name -> {weight, handler} —
-// so the server composes it from lambdas over its own state and the
-// tests can register toy methods (e.g. the deterministic `burn` load
-// generator) without touching the server.
+// so the server composes it from lambdas over its own state (e.g. the
+// deterministic `burn` load generator, heavy but sessionless).
 #pragma once
 
 #include "exec/cancel.hpp"
@@ -30,6 +32,15 @@
 
 namespace stsense::service {
 
+class Session;
+
+/// Where and how a method runs.
+enum class WeightClass {
+    Light,      ///< Answered inline on the connection's reader thread.
+    Heavy,      ///< Admitted through the FairScheduler; runs on the pool.
+    PerSession, ///< Heavy, on the session params["session"] names.
+};
+
 /// Per-request data the server hands a handler.
 struct RequestContext {
     int client = -1;           ///< FairScheduler client id of the connection.
@@ -44,6 +55,9 @@ struct RequestContext {
     /// Newton iterations — observes a fired cancel or expired deadline.
     /// Invalid (default) for light methods: polling stays free.
     exec::CancelToken cancel;
+    /// The session a PerSession method runs on, resolved at admission;
+    /// null for every other method.
+    Session* session = nullptr;
 };
 
 using Handler = std::function<Json(const Json& params, RequestContext& ctx)>;
@@ -51,12 +65,13 @@ using Handler = std::function<Json(const Json& params, RequestContext& ctx)>;
 class CommandProcessor {
 public:
     struct CommandSpec {
-        bool heavy = false; ///< true: route through the fair scheduler.
+        WeightClass weight = WeightClass::Light;
         Handler handler;
     };
 
     /// Registers (or replaces) a method.
-    void register_method(const std::string& name, bool heavy, Handler handler);
+    void register_method(const std::string& name, WeightClass weight,
+                         Handler handler);
 
     /// nullptr when the method is unknown.
     const CommandSpec* find(const std::string& name) const;

@@ -41,7 +41,8 @@ void FairScheduler::set_weight(int client, int weight) {
 
 FairScheduler::Admit FairScheduler::submit(int client,
                                            std::function<void()> job,
-                                           const exec::CancelToken& token) {
+                                           const exec::CancelToken& token,
+                                           int session) {
     // Infeasibility shed, before any queue slot is taken: a request
     // whose deadline has already passed (or whose token already fired)
     // cannot answer in time no matter how fast the pool drains.
@@ -78,7 +79,7 @@ FairScheduler::Admit FairScheduler::submit(int client,
         ++rejected_;
         return Admit::QueueFull;
     }
-    c.queue.push_back(std::move(job));
+    c.queue.push_back(Job{std::move(job), session});
     ++queued_;
     exec::MetricsRegistry::global().gauge("service.queue.depth").set(
         static_cast<double>(queued_));
@@ -92,9 +93,10 @@ void FairScheduler::pump_locked() {
             ? static_cast<std::size_t>(limits_.max_concurrency)
             : static_cast<std::size_t>(pool_.size());
     while (executing_ < max_concurrency && queued_ > 0) {
-        // Weighted round-robin: serve the cursor client while it has
-        // work and quantum; moving the cursor regrants the next
-        // client's quantum (= its weight).
+        // Weighted round-robin: serve the cursor client while it has a
+        // runnable job and quantum; moving the cursor regrants the next
+        // client's quantum (= its weight). A job is runnable when its
+        // session has no job running (kNoSession is never busy).
         std::size_t moves = 0;
         const std::size_t n_clients = clients_.size();
         bool dispatched = false;
@@ -102,9 +104,17 @@ void FairScheduler::pump_locked() {
             auto it = clients_.lower_bound(cursor_);
             if (it == clients_.end()) it = clients_.begin();
             Client& c = it->second;
-            if (!c.queue.empty() && c.quantum_left > 0) {
-                auto job = std::move(c.queue.front());
-                c.queue.pop_front();
+            auto runnable = c.queue.end();
+            if (c.quantum_left > 0) {
+                runnable = std::find_if(
+                    c.queue.begin(), c.queue.end(), [this](const Job& j) {
+                        return !busy_sessions_.contains(j.session);
+                    });
+            }
+            if (runnable != c.queue.end()) {
+                Job job = std::move(*runnable);
+                c.queue.erase(runnable);
+                if (job.session != kNoSession) busy_sessions_.insert(job.session);
                 --queued_;
                 ++executing_;
                 ++c.executing;
@@ -122,17 +132,17 @@ void FairScheduler::pump_locked() {
             next->second.quantum_left = next->second.weight;
             ++moves;
         }
-        if (!dispatched) break; // every client drained
+        if (!dispatched) break; // nothing queued is runnable
     }
     exec::MetricsRegistry::global().gauge("service.queue.depth").set(
         static_cast<double>(queued_));
 }
 
-void FairScheduler::run_job(int client, std::function<void()> job) {
+void FairScheduler::run_job(int client, Job job) {
     {
         OBS_SPAN("service.job");
         try {
-            job();
+            job.fn();
         } catch (...) {
             // Server job wrappers answer the client themselves; an
             // exception escaping one is a bug, but it must not poison
@@ -145,6 +155,7 @@ void FairScheduler::run_job(int client, std::function<void()> job) {
     bool idle = false;
     {
         std::lock_guard lock(m_);
+        busy_sessions_.erase(job.session);
         const auto it = clients_.find(client);
         if (it != clients_.end() && it->second.executing > 0) {
             --it->second.executing;
@@ -167,11 +178,9 @@ void FairScheduler::drain(
         draining_ = true;
         if (discard_queued) {
             for (auto& [id, c] : clients_) {
-                while (!c.queue.empty()) {
-                    discarded.push_back(std::move(c.queue.front()));
-                    c.queue.pop_front();
-                    --queued_;
-                }
+                for (Job& job : c.queue) discarded.push_back(std::move(job.fn));
+                queued_ -= c.queue.size();
+                c.queue.clear();
             }
         }
     }

@@ -11,6 +11,15 @@
 // weight-3 client gets 3x the service rate of a weight-1 client under
 // contention and exactly its demand when the pool is idle.
 //
+// The scheduler runs one job per session at a time, and is the only
+// place that rule lives: a session's state needs no lock, and no pool
+// worker ever blocks on a session. The cursor's client dispatches its
+// oldest queued job whose session has no job running (a job naming no
+// session always can), so one client's jobs for one session start in
+// arrival order and a job for an idle session never waits behind one
+// for a busy session. A client with no such job spends no quantum: the
+// cursor moves on.
+//
 // Admission is bounded on three axes, each rejection typed Overloaded
 // (never a silent hang):
 //   * per-client inflight (queued + executing) cap,
@@ -24,9 +33,9 @@
 // wrapper answers it without doing the heavy work).
 //
 // Jobs go to the pool as a top-level exec::TaskGroup: a pool thread
-// waiting inside one job's fan-out never starts another job. A session
-// job holds its session across its fan-out, so a nested start of the
-// same session's next job would block on a lock its own thread holds.
+// waiting inside one job's fan-out never starts another job on top of
+// it, so a job's answer (and its cancel latency) never waits for an
+// unrelated job to finish on the same stack.
 //
 // Dispatch order is deterministic given the arrival order: the cursor
 // walks clients in registration order and jobs in FIFO order — the
@@ -42,6 +51,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 
 namespace stsense::service {
 
@@ -76,19 +86,25 @@ public:
     int add_client(int weight = 1);
     void set_weight(int client, int weight);
 
+    /// `session` value of a job that works on no session.
+    static constexpr int kNoSession = -1;
+
     /// Queues `job` for `client`. On Admit::Ok the job will run on the
-    /// pool (possibly before submit returns). Any other verdict means
-    /// the job was NOT queued and the caller must answer the client.
-    /// `token` (optional) is the request's cancel token: a deadline
-    /// already expired at submit sheds the job (DeadlineUnmet) instead
-    /// of wasting a queue slot on work that cannot answer in time.
+    /// pool (possibly before submit returns), never while another job
+    /// of the same `session` runs. Any other verdict means the job was
+    /// NOT queued and the caller must answer the client. `token`
+    /// (optional) is the request's cancel token: a deadline already
+    /// expired at submit sheds the job (DeadlineUnmet) instead of
+    /// wasting a queue slot on work that cannot answer in time.
     Admit submit(int client, std::function<void()> job,
-                 const exec::CancelToken& token = {});
+                 const exec::CancelToken& token = {},
+                 int session = kNoSession);
 
     /// Stops admissions. `discard_queued` pops every not-yet-dispatched
-    /// job and hands it to `on_discard` (so the server can answer
-    /// ShuttingDown) instead of running it. Blocks until every
-    /// dispatched job finished. Idempotent.
+    /// job, including those waiting for their session, and hands it to
+    /// `on_discard` (so the server can answer ShuttingDown) instead of
+    /// running it. Blocks until every dispatched job finished.
+    /// Idempotent.
     void drain(bool discard_queued = false,
                const std::function<void(std::function<void()>)>& on_discard = {});
 
@@ -105,23 +121,29 @@ public:
     std::size_t inflight(int client) const;
 
 private:
+    struct Job {
+        std::function<void()> fn;
+        int session = kNoSession;
+    };
     struct Client {
         int weight = 1;
         int quantum_left = 1;              ///< Dispatches left this visit.
-        std::deque<std::function<void()>> queue;
+        std::deque<Job> queue;
         std::size_t executing = 0;
     };
 
     /// Releases queued jobs into the pool while below max_concurrency.
     /// Requires m_ held; may be re-entered from job completions.
     void pump_locked();
-    void run_job(int client, std::function<void()> job);
+    void run_job(int client, Job job);
 
     exec::ThreadPool& pool_;
     Limits limits_;
     mutable std::mutex m_;
     std::condition_variable idle_cv_;
     std::map<int, Client> clients_;
+    /// Sessions with a job dispatched and not yet finished.
+    std::set<int> busy_sessions_;
     int next_client_ = 0;
     /// Weighted round-robin cursor: id of the client served next.
     int cursor_ = 0;

@@ -17,8 +17,10 @@
 // other than vector don't guarantee incomplete-type support.)
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -67,11 +69,12 @@ public:
     double as_double(double fallback = 0.0) const {
         return is_number() ? num_ : fallback;
     }
-    int as_int(int fallback = 0) const {
-        return is_number() ? static_cast<int>(num_) : fallback;
-    }
+    /// Integer accessors truncate toward zero and saturate at the
+    /// target type's range (±inf included), so a caller's own range
+    /// check or clamp sees 1e300 as "too large". NaN gives `fallback`.
+    int as_int(int fallback = 0) const { return saturate<int>(fallback); }
     std::int64_t as_int64(std::int64_t fallback = 0) const {
-        return is_number() ? static_cast<std::int64_t>(num_) : fallback;
+        return saturate<std::int64_t>(fallback);
     }
     const std::string& as_string(const std::string& fallback = empty_string()) const {
         return is_string() ? str_ : fallback;
@@ -107,6 +110,19 @@ private:
     enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
 
     static const std::string& empty_string();
+
+    template <class Int>
+    Int saturate(Int fallback) const {
+        if (!is_number() || std::isnan(num_)) return fallback;
+        // min is -2^k exactly; max is 2^k - 1 exactly (int) or rounds
+        // up to 2^k (int64). Every value strictly between truncates
+        // into range.
+        constexpr double lo = static_cast<double>(std::numeric_limits<Int>::min());
+        constexpr double hi = static_cast<double>(std::numeric_limits<Int>::max());
+        if (num_ <= lo) return std::numeric_limits<Int>::min();
+        if (num_ >= hi) return std::numeric_limits<Int>::max();
+        return static_cast<Int>(num_);
+    }
 
     Kind kind_ = Kind::Null;
     bool bool_ = false;

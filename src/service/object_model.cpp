@@ -1,6 +1,8 @@
 #include "service/object_model.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 
 namespace stsense::service {
 
@@ -56,6 +58,41 @@ private:
     std::function<ModelPtr(std::size_t)> at_;
 };
 
+/// A view into a Json document shared by every node cut from it:
+/// objects are objects, arrays are arrays, anything else is a leaf.
+class JsonNode final : public ModelNode {
+public:
+    JsonNode(std::shared_ptr<const Json> doc, const Json* value)
+        : doc_(std::move(doc)), value_(value) {}
+
+    bool is_leaf() const override {
+        return !value_->is_object() && !value_->is_array();
+    }
+    bool is_array() const override { return value_->is_array(); }
+    Json value() const override { return *value_; }
+
+    std::vector<std::string> keys() const override {
+        std::vector<std::string> out;
+        out.reserve(value_->members().size());
+        for (const auto& [key, v] : value_->members()) out.push_back(key);
+        return out;
+    }
+    ModelPtr child(const std::string& key) const override {
+        if (!value_->contains(key)) return nullptr;
+        return std::make_shared<JsonNode>(doc_, &value_->at(key));
+    }
+
+    std::size_t length() const override { return value_->items().size(); }
+    ModelPtr element(std::size_t index) const override {
+        if (index >= length()) return nullptr;
+        return std::make_shared<JsonNode>(doc_, &value_->at(index));
+    }
+
+private:
+    std::shared_ptr<const Json> doc_;
+    const Json* value_;
+};
+
 /// Renders `node` to Json, honoring the depth budget and key filter.
 /// `depth_left` counts container levels still allowed to open.
 Json render(const ModelNode& node, int depth_left, const std::string& filter) {
@@ -90,6 +127,12 @@ ModelPtr leaf(std::function<Json()> read) {
 ModelPtr fixed_leaf(Json value) {
     return std::make_shared<LeafNode>(
         [v = std::move(value)] { return v; });
+}
+
+ModelPtr json_node(Json value) {
+    auto doc = std::make_shared<const Json>(std::move(value));
+    const Json* root = doc.get();
+    return std::make_shared<JsonNode>(std::move(doc), root);
 }
 
 ModelPtr object(std::vector<std::pair<std::string, ChildFactory>> children) {
@@ -188,8 +231,13 @@ QueryResult query_model(const ModelPtr& root, const std::string& path,
     for (const auto& seg : segments) {
         ModelPtr next;
         if (seg.size() >= 2 && seg.front() == '[') {
-            const std::size_t index = static_cast<std::size_t>(
-                std::stoull(seg.substr(1, seg.size() - 2)));
+            // An index too large for size_t is past the end of any array.
+            std::size_t index = 0;
+            if (std::from_chars(seg.data() + 1, seg.data() + seg.size() - 1,
+                                index)
+                    .ec != std::errc()) {
+                index = std::numeric_limits<std::size_t>::max();
+            }
             if (!node->is_array()) {
                 result.error = where + " is not an array";
                 return result;

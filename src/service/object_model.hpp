@@ -65,6 +65,13 @@ ModelPtr leaf(std::function<Json()> read);
 /// Leaf holding a constant.
 ModelPtr fixed_leaf(Json value);
 
+/// Node over a Json document, taken whole when the node is built:
+/// objects become object nodes, arrays array nodes, anything else a
+/// leaf. A provider that publishes its state as one Json value reads
+/// it once per query this way, so every field a query renders comes
+/// from the same snapshot.
+ModelPtr json_node(Json value);
+
 /// Object node from (name, child-factory) pairs; factories run lazily,
 /// once per query that descends into the child.
 using ChildFactory = std::function<ModelPtr()>;

@@ -20,6 +20,19 @@ const char* to_string(ErrorCode code) {
     return "unknown";
 }
 
+namespace {
+
+/// An integral id inside the int64 range. 2^63 is the first double
+/// above it (the literal below is exactly 2^63).
+bool valid_id(const Json& id) {
+    if (!id.is_number()) return false;
+    const double v = id.as_double();
+    return std::floor(v) == v && v >= -9.2233720368547758e18 &&
+           v < 9.2233720368547758e18;
+}
+
+} // namespace
+
 Request parse_request(const std::string& line) {
     JsonParseResult parsed = Json::parse(line);
     if (!parsed.value) {
@@ -34,9 +47,7 @@ Request parse_request(const std::string& line) {
         throw ServiceError(ErrorCode::MalformedRequest,
                            "request needs a numeric \"id\"");
     }
-    const double id_raw = doc.at("id").as_double();
-    if (std::floor(id_raw) != id_raw || id_raw < -9.2233720368547758e18 ||
-        id_raw > 9.2233720368547758e18) {
+    if (!valid_id(doc.at("id"))) {
         throw ServiceError(ErrorCode::MalformedRequest,
                            "\"id\" must be an integer");
     }
@@ -71,6 +82,14 @@ Request parse_request(const std::string& line) {
         req.deadline_ms = ms;
     }
     return req;
+}
+
+std::int64_t salvage_id(const std::string& line) {
+    const auto parsed = Json::parse(line);
+    if (parsed.value && valid_id(parsed.value->at("id"))) {
+        return parsed.value->at("id").as_int64();
+    }
+    return 0;
 }
 
 std::string make_ok_response(std::int64_t id, Json result) {

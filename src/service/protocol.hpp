@@ -68,6 +68,11 @@ struct Request {
 /// bytes (the JSON parser is depth- and format-checked).
 Request parse_request(const std::string& line);
 
+/// Best-effort id of a line parse_request rejected, so even a
+/// malformed-request error correlates when it can: the "id" when it is
+/// an integer parse_request would accept, else 0.
+std::int64_t salvage_id(const std::string& line);
+
 /// Response/event constructors (already-serialized lines).
 std::string make_ok_response(std::int64_t id, Json result);
 std::string make_error_response(std::int64_t id, ErrorCode code,

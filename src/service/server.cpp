@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -13,23 +14,28 @@ namespace stsense::service {
 
 namespace {
 
-/// Best-effort id recovery from a line that failed request parsing, so
-/// even a malformed-request error correlates when it can.
-std::int64_t salvage_id(const std::string& line) {
-    auto parsed = Json::parse(line);
-    if (parsed.value && parsed.value->is_object() &&
-        parsed.value->at("id").is_number()) {
-        return parsed.value->at("id").as_int64();
-    }
-    return 0;
-}
-
 /// True only while FairScheduler::drain's discard callback is replaying
 /// a queued-but-undispatched job on the drainer's thread. Thread-local
 /// on purpose: a job the scheduler already dispatched to a pool worker
 /// must run to completion even when shutdown lands mid-flight — a
 /// global flag would race the worker into discarding admitted work.
 thread_local bool t_discarding = false;
+
+/// handle_inline's stand-in for a connection: hands the one response
+/// line handle_line writes to the caller waiting for it.
+class InlineReply final : public Connection {
+public:
+    bool read_line(std::string&) override { return false; }
+    bool write_line(const std::string& line) override {
+        line_.set_value(line);
+        return true;
+    }
+    void close() override {}
+    std::string wait() { return line_.get_future().get(); }
+
+private:
+    std::promise<std::string> line_;
+};
 
 } // namespace
 
@@ -95,26 +101,29 @@ void Server::wait() {
 }
 
 void Server::request_shutdown(bool discard_queued) {
-    draining_.store(true, std::memory_order_relaxed);
-    if (discard_queued) {
-        // Immediate teardown: in-flight heavy work unwinds at its next
-        // poll point (checkpoints flush consistent), so drain() below
-        // waits milliseconds, not sweep-lengths.
-        cancel_root_.cancel(exec::CancelCause::Shutdown);
-        // Queued-but-undispatched jobs replay via on_discard under the
-        // thread-local discard flag and answer `shutting-down` without
-        // doing their work; already-dispatched jobs finish normally.
-        scheduler_->drain(/*discard_queued=*/true,
-                          [](std::function<void()> job) {
-                              t_discarding = true;
-                              job();
-                              t_discarding = false;
-                          });
-    } else {
-        scheduler_->drain(/*discard_queued=*/false);
-    }
+    drain(discard_queued);
     std::lock_guard lock(serve_m_);
     if (transport_) transport_->shutdown();
+}
+
+void Server::drain(bool discard_queued) {
+    draining_.store(true, std::memory_order_relaxed);
+    if (!discard_queued) {
+        scheduler_->drain(/*discard_queued=*/false);
+        return;
+    }
+    // Immediate teardown: in-flight heavy work unwinds at its next poll
+    // point (checkpoints flush consistent), so the drain waits
+    // milliseconds, not sweep-lengths.
+    cancel_root_.cancel(exec::CancelCause::Shutdown);
+    // Queued-but-undispatched jobs replay via on_discard under the
+    // thread-local discard flag and answer `shutting-down` without doing
+    // their work; already-dispatched jobs finish normally.
+    scheduler_->drain(/*discard_queued=*/true, [](std::function<void()> job) {
+        t_discarding = true;
+        job();
+        t_discarding = false;
+    });
 }
 
 void Server::reader_loop(int client, std::shared_ptr<Connection> conn) {
@@ -202,33 +211,35 @@ void Server::handle_line(int client, const std::shared_ptr<Connection>& conn,
                          const std::string& line) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     exec::MetricsRegistry::global().counter("service.requests").add();
+    const auto reject = [&](std::int64_t id, ErrorCode code,
+                            const std::string& message) {
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        exec::MetricsRegistry::global().counter("service.errors").add();
+        conn->write_line(make_error_response(id, code, message));
+    };
 
     Request req;
     try {
         req = parse_request(line);
     } catch (const ServiceError& e) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        exec::MetricsRegistry::global().counter("service.errors").add();
-        conn->write_line(
-            make_error_response(salvage_id(line), e.code(), e.what()));
+        reject(salvage_id(line), e.code(), e.what());
         return;
     }
 
     const auto* spec = processor_.find(req.method);
     if (!spec) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        exec::MetricsRegistry::global().counter("service.errors").add();
-        conn->write_line(make_error_response(req.id, ErrorCode::UnknownMethod,
-                                             "unknown method: " + req.method));
+        reject(req.id, ErrorCode::UnknownMethod,
+               "unknown method: " + req.method);
         return;
     }
 
     RequestContext ctx;
     ctx.client = client;
     ctx.request_id = req.id;
-    ctx.connection = conn;
+    // In-process requests have no peer to push subscription events to.
+    if (client != kInlineClient) ctx.connection = conn;
 
-    if (!spec->heavy) {
+    if (spec->weight == WeightClass::Light) {
         conn->write_line(execute(*spec, req, ctx));
         // A shutdown request must see its own response before the
         // transport goes down; the transport close happens here, after
@@ -240,9 +251,21 @@ void Server::handle_line(int client, const std::shared_ptr<Connection>& conn,
         return;
     }
 
-    ctx.cancel = make_request_token(client, req);
+    int session = FairScheduler::kNoSession;
+    if (spec->weight == WeightClass::PerSession) {
+        try {
+            ctx.session = &resolve_session(req.params);
+        } catch (const ServiceError& e) {
+            reject(req.id, e.code(), e.what());
+            return;
+        }
+        session = ctx.session->id();
+    }
+    if (ctx.client == kInlineClient) ctx.client = inline_client();
+
+    ctx.cancel = make_request_token(ctx.client, req);
     const auto verdict = scheduler_->submit(
-        client,
+        ctx.client,
         [this, spec, req, ctx, conn]() mutable {
             if (t_discarding) {
                 finish_request(ctx.client, req.id);
@@ -260,41 +283,43 @@ void Server::handle_line(int client, const std::shared_ptr<Connection>& conn,
             conn->write_line(response);
             notify_subscribers();
         },
-        ctx.cancel);
+        ctx.cancel, session);
+    const auto refuse = [&](ErrorCode code, const char* message) {
+        finish_request(ctx.client, req.id);
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        conn->write_line(make_error_response(req.id, code, message));
+    };
     switch (verdict) {
     case FairScheduler::Admit::Ok:
         break;
     case FairScheduler::Admit::ClientSaturated:
-        finish_request(client, req.id);
-        errors_.fetch_add(1, std::memory_order_relaxed);
         exec::MetricsRegistry::global().counter("service.rejected").add();
-        conn->write_line(make_error_response(
-            req.id, ErrorCode::Overloaded,
-            "client request limit reached; retry after a response"));
+        refuse(ErrorCode::Overloaded,
+               "client request limit reached; retry after a response");
         break;
     case FairScheduler::Admit::QueueFull:
-        finish_request(client, req.id);
-        errors_.fetch_add(1, std::memory_order_relaxed);
         exec::MetricsRegistry::global().counter("service.rejected").add();
-        conn->write_line(make_error_response(
-            req.id, ErrorCode::Overloaded,
-            "server queue is full; retry later"));
+        refuse(ErrorCode::Overloaded, "server queue is full; retry later");
         break;
     case FairScheduler::Admit::Draining:
-        finish_request(client, req.id);
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        conn->write_line(make_error_response(
-            req.id, ErrorCode::ShuttingDown,
-            "server is draining; no new work admitted"));
+        refuse(ErrorCode::ShuttingDown,
+               "server is draining; no new work admitted");
         break;
     case FairScheduler::Admit::DeadlineUnmet:
-        finish_request(client, req.id);
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        conn->write_line(make_error_response(
-            req.id, ErrorCode::DeadlineUnmet,
-            "deadline_ms already expired at admission; request shed"));
+        refuse(ErrorCode::DeadlineUnmet,
+               "deadline_ms already expired at admission; request shed");
         break;
     }
+}
+
+int Server::inline_client() {
+    // Registered on first use, not at construction, so the client ids
+    // `hello` reports to wire clients do not depend on whether anyone
+    // ever called handle_inline.
+    std::call_once(inline_client_once_, [this] {
+        inline_client_ = scheduler_->add_client(config_.default_client_weight);
+    });
+    return inline_client_;
 }
 
 std::string Server::execute(const CommandProcessor::CommandSpec& spec,
@@ -351,34 +376,9 @@ std::string Server::execute(const CommandProcessor::CommandSpec& spec,
 }
 
 std::string Server::handle_inline(const std::string& line) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    Request req;
-    try {
-        req = parse_request(line);
-    } catch (const ServiceError& e) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return make_error_response(salvage_id(line), e.code(), e.what());
-    }
-    const auto* spec = processor_.find(req.method);
-    if (!spec) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return make_error_response(req.id, ErrorCode::UnknownMethod,
-                                   "unknown method: " + req.method);
-    }
-    if (spec->heavy && draining_.load(std::memory_order_relaxed)) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return make_error_response(req.id, ErrorCode::ShuttingDown,
-                                   "server is draining; no new work admitted");
-    }
-    RequestContext ctx;
-    ctx.request_id = req.id;
-    // Synchronous dispatch still honors a wire deadline; there is no
-    // cancel-by-id window (nothing queues), so the token skips the
-    // registry.
-    if (spec->heavy && req.deadline_ms > 0.0) {
-        ctx.cancel = cancel_root_.child_with_deadline_ms(req.deadline_ms);
-    }
-    return execute(*spec, req, ctx);
+    const auto reply = std::make_shared<InlineReply>();
+    handle_line(kInlineClient, reply, line);
+    return reply->wait();
 }
 
 // ----------------------------------------------------------- subscriptions
@@ -449,7 +449,7 @@ Session& Server::resolve_session(const Json& params) {
 void Server::register_builtin_methods() {
     // ---- light methods: answered inline on the reader thread ----------
     processor_.register_method(
-        "ping", /*heavy=*/false,
+        "ping", WeightClass::Light,
         [](const Json&, RequestContext&) -> Json {
             Json j = Json::object();
             j.set("pong", true);
@@ -457,7 +457,7 @@ void Server::register_builtin_methods() {
         });
 
     processor_.register_method(
-        "hello", /*heavy=*/false,
+        "hello", WeightClass::Light,
         [this](const Json& params, RequestContext& ctx) -> Json {
             int weight = config_.default_client_weight;
             if (params.contains("weight")) {
@@ -480,7 +480,7 @@ void Server::register_builtin_methods() {
         });
 
     processor_.register_method(
-        "sessions", /*heavy=*/false,
+        "sessions", WeightClass::Light,
         [this](const Json&, RequestContext&) -> Json {
             Json arr = Json::array();
             for (const auto& s : sessions_) {
@@ -495,7 +495,7 @@ void Server::register_builtin_methods() {
         });
 
     processor_.register_method(
-        "query", /*heavy=*/false,
+        "query", WeightClass::Light,
         [this](const Json& params, RequestContext&) -> Json {
             QueryOptions opt;
             opt.depth = std::clamp(params.at("depth").as_int(opt.depth), 0, 64);
@@ -512,7 +512,7 @@ void Server::register_builtin_methods() {
         });
 
     processor_.register_method(
-        "subscribe", /*heavy=*/false,
+        "subscribe", WeightClass::Light,
         [this](const Json& params, RequestContext& ctx) -> Json {
             if (!ctx.connection) {
                 throw ServiceError(ErrorCode::BadParams,
@@ -534,7 +534,7 @@ void Server::register_builtin_methods() {
         });
 
     processor_.register_method(
-        "help", /*heavy=*/false,
+        "help", WeightClass::Light,
         [this](const Json&, RequestContext&) -> Json {
             Json arr = Json::array();
             for (const auto& name : processor_.methods()) arr.push_back(name);
@@ -549,7 +549,7 @@ void Server::register_builtin_methods() {
     // not in flight — already answered, or never admitted; racing a
     // completion is normal, not an error.
     processor_.register_method(
-        "cancel", /*heavy=*/false,
+        "cancel", WeightClass::Light,
         [this](const Json& params, RequestContext& ctx) -> Json {
             if (!params.at("request").is_number()) {
                 throw ServiceError(
@@ -565,28 +565,14 @@ void Server::register_builtin_methods() {
         });
 
     processor_.register_method(
-        "shutdown", /*heavy=*/false,
+        "shutdown", WeightClass::Light,
         [this](const Json& params, RequestContext&) -> Json {
             const std::string mode = params.at("mode").as_string("drain");
             if (mode != "drain" && mode != "now") {
                 throw ServiceError(ErrorCode::BadParams,
                                    "param 'mode' must be \"drain\" or \"now\"");
             }
-            draining_.store(true, std::memory_order_relaxed);
-            if (mode == "now") {
-                // Same contract as request_shutdown(discard): running
-                // work unwinds at its next poll point, queued work is
-                // answered `shutting-down` without executing.
-                cancel_root_.cancel(exec::CancelCause::Shutdown);
-                scheduler_->drain(/*discard_queued=*/true,
-                                  [](std::function<void()> job) {
-                                      t_discarding = true;
-                                      job();
-                                      t_discarding = false;
-                                  });
-            } else {
-                scheduler_->drain(/*discard_queued=*/false);
-            }
+            drain(/*discard_queued=*/mode == "now");
             Json j = Json::object();
             j.set("draining", true);
             j.set("mode", mode);
@@ -594,44 +580,32 @@ void Server::register_builtin_methods() {
             return j;
         });
 
-    // ---- heavy methods: admission-controlled, pool-executed ------------
-    processor_.register_method(
-        "measure_site", /*heavy=*/true,
-        [this](const Json& params, RequestContext&) -> Json {
-            return resolve_session(params).measure_site(params);
-        });
-    processor_.register_method(
-        "thermal_map", /*heavy=*/true,
-        [this](const Json& params, RequestContext&) -> Json {
-            return resolve_session(params).thermal_map(params);
-        });
-    processor_.register_method(
-        "sweep", /*heavy=*/true,
-        [this](const Json& params, RequestContext&) -> Json {
-            return resolve_session(params).sweep(params);
-        });
-    processor_.register_method(
-        "optimize", /*heavy=*/true,
-        [this](const Json& params, RequestContext&) -> Json {
-            return resolve_session(params).optimize(params);
-        });
-    processor_.register_method(
-        "dtm_run", /*heavy=*/true,
-        [this](const Json& params, RequestContext&) -> Json {
-            return resolve_session(params).dtm_run(params);
-        });
-    processor_.register_method(
-        "population_run", /*heavy=*/true,
-        [this](const Json& params, RequestContext&) -> Json {
-            return resolve_session(params).population_run(params);
-        });
+    // ---- per-session methods: admission resolves the session, and the
+    // scheduler runs one job per session at a time ----------------------
+    using SessionMethod = Json (Session::*)(const Json&);
+    const std::pair<const char*, SessionMethod> session_methods[] = {
+        {"measure_site", &Session::measure_site},
+        {"thermal_map", &Session::thermal_map},
+        {"sweep", &Session::sweep},
+        {"optimize", &Session::optimize},
+        {"dtm_run", &Session::dtm_run},
+        {"population_run", &Session::population_run},
+    };
+    for (const auto& [name, method] : session_methods) {
+        processor_.register_method(
+            name, WeightClass::PerSession,
+            [method](const Json& params, RequestContext& ctx) -> Json {
+                return (ctx.session->*method)(params);
+            });
+    }
+
     // Deterministic load generator: occupies one scheduler slot for a
     // fixed wall time. The saturation tests use it to make admission
     // rejection reproducible; it does no session work. The sleep is
     // sliced so a deadline or cancel lands within one slice, not after
     // the full burn — burn is the demo's deterministic "slow request".
     processor_.register_method(
-        "burn", /*heavy=*/true,
+        "burn", WeightClass::Heavy,
         [](const Json& params, RequestContext&) -> Json {
             const int ms = std::clamp(params.at("ms").as_int(10), 0, 2000);
             const auto& token = exec::CancelScope::current();

@@ -8,12 +8,15 @@
 // the CommandProcessor registry:
 //
 //   connection -> parse -> registry -> light: inline answer
-//                                   -> heavy: FairScheduler -> pool
+//                                   -> heavy: session -> FairScheduler -> pool
 //
-// Admission control is the scheduler's: a saturated client gets a typed
-// `overloaded` response, a draining server `shutting-down` — never a
-// hang, never a dropped line. Every response carries the request id;
-// heavy responses overtake each other freely.
+// Admission resolves a per-session request's session (an unknown one is
+// answered there and takes no queue slot); the scheduler then runs one
+// job per session at a time. Admission control is the scheduler's: a
+// saturated client gets a typed `overloaded` response, a draining
+// server `shutting-down` — never a hang, never a dropped line. Every
+// response carries the request id; heavy responses overtake each other
+// freely.
 //
 // The whole runtime is queryable through the lazily-evaluated object
 // model rooted here: `state.pool.queue_depth`, `state.cache.hit_rate`,
@@ -98,7 +101,6 @@ public:
     FairScheduler& scheduler() { return *scheduler_; }
     CommandProcessor& processor() { return processor_; }
     std::size_t session_count() const { return sessions_.size(); }
-    Session& session(std::size_t i) { return *sessions_[i]; }
     const ServerConfig& config() const { return config_; }
 
     /// Root of the object model (`state.`); stable for the server's
@@ -109,10 +111,12 @@ public:
     /// Copies share state: firing it cancels every request in flight.
     exec::CancelToken cancel_root() const { return cancel_root_; }
 
-    /// One request handled fully in-process (no transport): parses,
-    /// dispatches (heavy methods still go through admission control but
-    /// run synchronously), returns the response line. The benches use
-    /// this to measure dispatch overhead without socket noise.
+    /// One request handled in-process (no transport): the wire path
+    /// without the connection. Light methods answer on the calling
+    /// thread; heavy ones go through admission and the scheduler like
+    /// any wire request, and the call blocks for the answer. Returns the
+    /// response line. The benches use this to measure dispatch overhead
+    /// without socket noise.
     std::string handle_inline(const std::string& line);
 
     std::uint64_t requests_total() const {
@@ -130,8 +134,19 @@ private:
     Session& resolve_session(const Json& params);
 
     void reader_loop(int client, std::shared_ptr<Connection> conn);
+    /// Parses one request line, answers it (light) or admits it to the
+    /// scheduler (heavy). `conn` receives exactly one response line.
+    /// `client` is kInlineClient for handle_inline's requests.
     void handle_line(int client, const std::shared_ptr<Connection>& conn,
                      const std::string& line);
+    /// The scheduler client handle_inline's heavy requests queue as,
+    /// registered on first use.
+    int inline_client();
+    /// Stops admissions and waits for the scheduler to drain. With
+    /// `discard_queued` it also fires the server cancel token, so
+    /// running work unwinds at its next poll point, and answers queued
+    /// jobs `shutting-down` without running them.
+    void drain(bool discard_queued);
     /// Runs one request through its handler; returns the response line.
     std::string execute(const CommandProcessor::CommandSpec& spec,
                         const Request& req, RequestContext& ctx);
@@ -174,6 +189,10 @@ private:
     ModelPtr root_;
 
     std::atomic<bool> draining_{false};
+
+    static constexpr int kInlineClient = -1;
+    std::once_flag inline_client_once_;
+    int inline_client_ = kInlineClient;
 
     /// Cancel hierarchy root (valid for the server's lifetime) and the
     /// registries below it. Request tokens live in `active_` only while

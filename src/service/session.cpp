@@ -79,6 +79,125 @@ int require_int(const Json& params, const char* key, int fallback, int lo,
     return n;
 }
 
+/// Points a job's checkpoint at `<spool_dir>/<kind>_<key hex>.ckpt`
+/// with the session's flush cadence, or turns checkpointing off when
+/// the server has no spool dir. The key names the request (a sweep or
+/// population fingerprint, a hash of the optimizer params), so
+/// concurrent jobs never share a spool file and a killed request
+/// resumes bitwise on re-issue.
+template <class Runtime>
+void set_spool(Runtime& rt, const std::string& spool_dir,
+               const stsense::RuntimeOptions& options, const char* kind,
+               std::uint64_t key) {
+    rt.checkpoint_path.clear();
+    if (spool_dir.empty()) return;
+    rt.checkpoint_path = spool_dir + "/" + kind + "_" + hex64(key) + ".ckpt";
+    if (options.checkpoint_flush_every() > 0) {
+        rt.checkpoint_every = static_cast<decltype(rt.checkpoint_every)>(
+            options.checkpoint_flush_every());
+    }
+    rt.keep_checkpoint = options.checkpoint_kept();
+}
+
+/// A published snapshot as it reads before its first run: every field
+/// null, every array empty.
+Json before_first_run(const Json& state) {
+    Json out = Json::object();
+    for (const auto& [key, value] : state.members()) {
+        out.set(key, value.is_array() ? Json::array() : Json(nullptr));
+    }
+    return out;
+}
+
+/// sessions[i].dtm after a fleet run: the summary and each region's
+/// controller and supervisor state (dtm_run's answer adds each region's
+/// plant model and gains).
+Json dtm_state(bool supervised, const dtm::FleetResult& res) {
+    Json regions = Json::array();
+    for (std::size_t r = 0; r < res.regions.size(); ++r) {
+        const auto& rt = res.regions[r];
+        double measured_c = std::nan("");
+        double trust = 0.0;
+        if (!res.steps.empty()) {
+            measured_c = res.steps.back().measured_c[r];
+            trust = res.steps.back().trust[r];
+        }
+        Json j = Json::object();
+        j.set("name", rt.name);
+        j.set("state", dtm::to_string(rt.state));
+        j.set("fault", dtm::to_string(rt.last_fault));
+        j.set("u", rt.u);
+        j.set("true_c", rt.true_c);
+        j.set("peak_true_c", rt.peak_true_c);
+        j.set("measured_c",
+              std::isfinite(measured_c) ? Json(measured_c) : Json(nullptr));
+        j.set("trust", trust);
+        j.set("fault_latches", rt.supervisor.fault_latches);
+        j.set("probes", rt.supervisor.probes);
+        regions.push_back(std::move(j));
+    }
+    Json state = Json::object();
+    state.set("supervised", supervised);
+    state.set("die_peak_c", res.die_peak_c);
+    state.set("settling_time_s", res.settling_time_s);
+    state.set("max_overshoot_c", res.max_overshoot_c);
+    state.set("fault_latches", res.fault_latches);
+    state.set("tune_solves", res.tune_solves);
+    state.set("steps", static_cast<std::uint64_t>(res.steps.size()));
+    state.set("regions", std::move(regions));
+    return state;
+}
+
+/// Progress of a population run before its first shard folds.
+population::PopulationProgress start_progress(std::uint64_t dice_total,
+                                              std::size_t shard_count) {
+    population::PopulationProgress p;
+    p.dice_total = dice_total;
+    p.shard_count = shard_count;
+    p.metrics.resize(population::kMetricCount);
+    return p;
+}
+
+/// sessions[i].population at one point of a run: progress, yields and
+/// the running quantiles of the engine's default list {.5, .9, .99}.
+/// `resumed_dice` is known only once the run returns; until then it
+/// reads 0.
+Json population_state(const std::string& calibration, bool running,
+                      const population::PopulationProgress& p) {
+    // P^2 is NaN before its first sample; publish 0 so the snapshot
+    // never renders a non-finite number.
+    const auto quantile = [](const population::MetricSummary& m,
+                             std::size_t j) {
+        if (j >= m.quantiles.size()) return 0.0;
+        const double v = m.quantiles[j].value;
+        return std::isfinite(v) ? v : 0.0;
+    };
+    const auto metric = [&p](population::Metric m) -> const auto& {
+        return p.metrics[static_cast<std::size_t>(m)];
+    };
+    const auto& fresh = metric(population::Metric::FreshMaxAbsErrC);
+    Json state = Json::object();
+    state.set("running", running);
+    state.set("calibration", calibration);
+    state.set("dice_total", p.dice_total);
+    state.set("dice_done", p.dice_done);
+    state.set("shard", static_cast<std::uint64_t>(p.shard_index));
+    state.set("shards", static_cast<std::uint64_t>(p.shard_count));
+    state.set("resumed_dice", 0);
+    state.set("yield_fresh", p.yield_fresh);
+    state.set("yield_aged", p.yield_aged);
+    state.set("fresh_mean_c", fresh.mean);
+    state.set("fresh_max_c", fresh.max);
+    state.set("fresh_p50_c", quantile(fresh, 0));
+    state.set("fresh_p90_c", quantile(fresh, 1));
+    state.set("fresh_p99_c", quantile(fresh, 2));
+    state.set("aged_p99_c",
+              quantile(metric(population::Metric::AgedMaxAbsErrC), 2));
+    state.set("drift_p50_c",
+              quantile(metric(population::Metric::AgedDriftC), 0));
+    return state;
+}
+
 } // namespace
 
 Session::Session(int id, SessionSpec spec, exec::ThreadPool* pool,
@@ -92,7 +211,10 @@ Session::Session(int id, SessionSpec spec, exec::ThreadPool* pool,
       monitor_(spec_.tech, spec_.ring, spec_.floorplan,
                sensor::uniform_sites(spec_.floorplan, spec_.sites_nx,
                                      spec_.sites_ny),
-               spec_.runtime.monitor_config(spec_.monitor)) {
+               spec_.runtime.monitor_config(spec_.monitor)),
+      dtm_state_(before_first_run(dtm_state(true, dtm::FleetResult{}))),
+      population_state_(before_first_run(
+          population_state("", false, start_progress(0, 0)))) {
     sites_.reserve(monitor_.sites().size());
     for (const auto& site : monitor_.sites()) {
         SiteSnapshot snap;
@@ -124,7 +246,7 @@ Json Session::reading_json(const sensor::SiteReading& r) {
     return j;
 }
 
-sensor::MapResult Session::scan_locked() {
+sensor::MapResult Session::scan() {
     OBS_SPAN("service.session.scan");
     auto map = monitor_.scan();
     publish_map(map);
@@ -175,7 +297,6 @@ Json Session::measure_site(const Json& params) {
     const Json& which = params.at("site");
     const bool fresh = params.at("fresh").as_bool(false);
 
-    std::lock_guard job(job_m_);
     std::size_t index = sites_.size();
     if (which.is_number()) {
         const int i = which.as_int(-1);
@@ -203,7 +324,7 @@ Json Session::measure_site(const Json& params) {
         std::lock_guard lock(state_m_);
         if (last_readings_.size() != sites_.size()) need_scan = true;
     }
-    if (need_scan) scan_locked();
+    if (need_scan) scan();
 
     std::lock_guard lock(state_m_);
     Json result = reading_json(last_readings_[index]);
@@ -215,8 +336,7 @@ Json Session::measure_site(const Json& params) {
 Json Session::thermal_map(const Json&) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     maps_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard job(job_m_);
-    const auto map = scan_locked();
+    const auto map = scan();
 
     Json readings = Json::array();
     for (const auto& r : map.sites) readings.push_back(reading_json(r));
@@ -251,25 +371,15 @@ Json Session::sweep(const Json& params) {
     const auto spice_opt = spec_.runtime.spice_ring_options();
 
     // Server-owned pool/cache replace whatever the session's
-    // RuntimeOptions projected; the checkpoint path is re-keyed per
-    // request by the sweep fingerprint so concurrent sweeps never share
-    // a spool file and a killed request resumes bitwise on re-issue.
+    // RuntimeOptions projected; the checkpoint is keyed by the sweep
+    // fingerprint.
     ring::SweepRuntime rt = spec_.runtime.sweep_runtime();
     rt.pool = pool_;
     rt.cache = cache_;
     const std::uint64_t fp = ring::sweep_fingerprint(
         spec_.tech, spec_.ring, temps, engine, spice_opt, rt.fault);
-    if (!spool_dir_.empty()) {
-        rt.checkpoint_path = spool_dir_ + "/sweep_" + hex64(fp) + ".ckpt";
-        if (spec_.runtime.checkpoint_flush_every() > 0) {
-            rt.checkpoint_every = spec_.runtime.checkpoint_flush_every();
-        }
-        rt.keep_checkpoint = spec_.runtime.checkpoint_kept();
-    } else {
-        rt.checkpoint_path.clear();
-    }
+    set_spool(rt, spool_dir_, spec_.runtime, "sweep", fp);
 
-    std::lock_guard job(job_m_);
     OBS_SPAN("service.session.sweep");
     const auto sweep = ring::temperature_sweep(spec_.tech, spec_.ring, temps,
                                                engine, spice_opt, rt);
@@ -322,24 +432,14 @@ Json Session::optimize(const Json& params) {
 
     sensor::OptimizerRuntime rt = spec_.runtime.optimizer_runtime();
     rt.pool = pool_;
-    if (!spool_dir_.empty()) {
-        Json key = Json::object();
-        key.set("ratio_lo", lo);
-        key.set("ratio_hi", hi);
-        key.set("points", points);
-        key.set("stages", stages);
-        key.set("session", id_);
-        rt.checkpoint_path =
-            spool_dir_ + "/opt_" + hex64(fnv1a(key.dump())) + ".ckpt";
-        if (spec_.runtime.checkpoint_flush_every() > 0) {
-            rt.checkpoint_every = spec_.runtime.checkpoint_flush_every();
-        }
-        rt.keep_checkpoint = spec_.runtime.checkpoint_kept();
-    } else {
-        rt.checkpoint_path.clear();
-    }
+    Json key = Json::object();
+    key.set("ratio_lo", lo);
+    key.set("ratio_hi", hi);
+    key.set("points", points);
+    key.set("stages", stages);
+    key.set("session", id_);
+    set_spool(rt, spool_dir_, spec_.runtime, "opt", fnv1a(key.dump()));
 
-    std::lock_guard job(job_m_);
     OBS_SPAN("service.session.optimize");
     const auto sweep = sensor::ratio_sweep(spec_.tech, cells::CellKind::Inv,
                                            stages, ratios, rt);
@@ -395,7 +495,6 @@ Json Session::dtm_run(const Json& params) {
         throw ServiceError(ErrorCode::BadParams, checked.error().message);
     }
 
-    std::lock_guard job(job_m_);
     OBS_SPAN("service.session.dtm_run");
 
     // Key the cached fleet by every parameter that shapes it. The fleet
@@ -422,46 +521,11 @@ Json Session::dtm_run(const Json& params) {
     }
     const auto res = dtm_fleet_->run();
 
-    DtmSnapshot snap;
-    snap.supervised = supervised;
-    snap.die_peak_c = res.die_peak_c;
-    snap.settling_time_s = res.settling_time_s;
-    snap.max_overshoot_c = res.max_overshoot_c;
-    snap.fault_latches = res.fault_latches;
-    snap.tune_solves = res.tune_solves;
-    snap.steps = res.steps.size();
-
-    Json regions_j = Json::array();
+    Json state = dtm_state(supervised, res);
+    Json regions = Json::array();
     for (std::size_t r = 0; r < res.regions.size(); ++r) {
         const auto& rt = res.regions[r];
-        DtmRegionSnapshot rs;
-        rs.name = rt.name;
-        rs.state = dtm::to_string(rt.state);
-        rs.fault = dtm::to_string(rt.last_fault);
-        rs.u = rt.u;
-        rs.true_c = rt.true_c;
-        rs.peak_true_c = rt.peak_true_c;
-        if (!res.steps.empty()) {
-            const auto& last = res.steps.back();
-            rs.measured_c = last.measured_c[r];
-            rs.has_measurement = std::isfinite(last.measured_c[r]);
-            rs.trust = last.trust[r];
-        }
-        rs.fault_latches = rt.supervisor.fault_latches;
-        rs.probes = rt.supervisor.probes;
-
-        Json j = Json::object();
-        j.set("name", rs.name);
-        j.set("state", rs.state);
-        j.set("fault", rs.fault);
-        j.set("u", rs.u);
-        j.set("true_c", rs.true_c);
-        j.set("peak_true_c", rs.peak_true_c);
-        j.set("measured_c",
-              rs.has_measurement ? Json(rs.measured_c) : Json(nullptr));
-        j.set("trust", rs.trust);
-        j.set("fault_latches", rs.fault_latches);
-        j.set("probes", rs.probes);
+        Json j = state.at("regions").at(r);
         Json model_j = Json::object();
         model_j.set("valid", rt.model.valid);
         model_j.set("gain_c", rt.model.gain_c);
@@ -473,27 +537,16 @@ Json Session::dtm_run(const Json& params) {
         gains_j.set("ki", rt.gains.ki);
         gains_j.set("kd", rt.gains.kd);
         j.set("gains", std::move(gains_j));
-        regions_j.push_back(std::move(j));
-
-        snap.regions.push_back(std::move(rs));
+        regions.push_back(std::move(j));
     }
 
-    Json result = Json::object();
+    Json result = state;
     result.set("session", id_);
-    result.set("supervised", supervised);
     result.set("target_c", target);
     result.set("trip_c", trip);
     result.set("duration_s", duration);
-    result.set("steps", snap.steps);
-    result.set("die_peak_c", res.die_peak_c);
-    result.set("settling_time_s", res.settling_time_s);
-    result.set("max_overshoot_c", res.max_overshoot_c);
-    result.set("fault_latches", res.fault_latches);
-    result.set("tune_solves", res.tune_solves);
-    result.set("regions", std::move(regions_j));
-
-    std::lock_guard lock(state_m_);
-    last_dtm_ = std::move(snap);
+    result.set("regions", std::move(regions));
+    publish(dtm_state_, std::move(state));
     return result;
 }
 
@@ -551,72 +604,26 @@ Json Session::population_run(const Json& params) {
     }
     const std::uint64_t fp = population::population_fingerprint(cfg);
 
-    // Server-owned pool; per-request checkpoint keyed by the population
-    // fingerprint so a killed request resumes bitwise on re-issue and
-    // concurrent studies never share a spool file.
+    // Server-owned pool; the checkpoint is keyed by the population
+    // fingerprint.
     population::PopulationRuntime rt;
     rt.pool = pool_;
     rt.parallel = spec_.runtime.parallel_enabled();
-    if (!spool_dir_.empty()) {
-        rt.checkpoint_path = spool_dir_ + "/population_" + hex64(fp) + ".ckpt";
-        if (spec_.runtime.checkpoint_flush_every() > 0) {
-            rt.checkpoint_every = static_cast<std::size_t>(
-                spec_.runtime.checkpoint_flush_every());
-        }
-        rt.keep_checkpoint = spec_.runtime.checkpoint_kept();
-    }
+    set_spool(rt, spool_dir_, spec_.runtime, "population", fp);
     rt.cancel = spec_.runtime.effective_cancel();
 
-    // Guarded NaN (P^2 is NaN before its first sample) so a snapshot
-    // leaf never renders a non-finite number.
-    auto qv = [](const population::MetricSummary& m, std::size_t j) {
-        if (j >= m.quantiles.size()) return 0.0;
-        const double v = m.quantiles[j].value;
-        return std::isfinite(v) ? v : 0.0;
-    };
-    rt.on_shard = [this, cal_name, qv](const population::PopulationProgress& p) {
-        // The engine's quantile list is the service default {.5,.9,.99}.
-        const auto& fresh =
-            p.metrics[static_cast<int>(population::Metric::FreshMaxAbsErrC)];
-        const auto& aged =
-            p.metrics[static_cast<int>(population::Metric::AgedMaxAbsErrC)];
-        const auto& drift =
-            p.metrics[static_cast<int>(population::Metric::AgedDriftC)];
-        std::lock_guard lock(state_m_);
-        PopulationSnapshot snap;
-        snap.running = p.dice_done < p.dice_total;
-        snap.calibration = cal_name;
-        snap.dice_total = p.dice_total;
-        snap.dice_done = p.dice_done;
-        snap.shard = p.shard_index;
-        snap.shards = p.shard_count;
-        snap.resumed_dice =
-            last_population_ ? last_population_->resumed_dice : 0;
-        snap.yield_fresh = p.yield_fresh;
-        snap.yield_aged = p.yield_aged;
-        snap.fresh_mean_c = fresh.mean;
-        snap.fresh_max_c = fresh.max;
-        snap.fresh_p50_c = qv(fresh, 0);
-        snap.fresh_p90_c = qv(fresh, 1);
-        snap.fresh_p99_c = qv(fresh, 2);
-        snap.aged_p99_c = qv(aged, 2);
-        snap.drift_p50_c = qv(drift, 0);
-        last_population_ = std::move(snap);
+    // Queries watch the run live: the snapshot is republished after
+    // every folded shard.
+    rt.on_shard = [this, &cal_name](const population::PopulationProgress& p) {
+        publish(population_state_,
+                population_state(cal_name, p.dice_done < p.dice_total, p));
     };
 
-    std::lock_guard job(job_m_);
     OBS_SPAN("service.session.population_run");
-
-    {
-        std::lock_guard lock(state_m_);
-        PopulationSnapshot snap;
-        snap.running = true;
-        snap.calibration = cal_name;
-        snap.dice_total = cfg.dice;
-        snap.shards = static_cast<std::size_t>(
-            (cfg.dice + cfg.shard_size - 1) / cfg.shard_size);
-        last_population_ = std::move(snap);
-    }
+    const auto start = start_progress(
+        cfg.dice, static_cast<std::size_t>(
+                      (cfg.dice + cfg.shard_size - 1) / cfg.shard_size));
+    publish(population_state_, population_state(cal_name, true, start));
 
     population::PopulationResult res;
     try {
@@ -625,7 +632,7 @@ Json Session::population_run(const Json& params) {
         // Cancellation (typed CancelledError -> "cancelled" wire error)
         // or a fault: mark the snapshot idle, keep the partial telemetry.
         std::lock_guard lock(state_m_);
-        if (last_population_) last_population_->running = false;
+        population_state_.set("running", false);
         throw;
     }
 
@@ -669,12 +676,26 @@ Json Session::population_run(const Json& params) {
 
     {
         std::lock_guard lock(state_m_);
-        if (last_population_) {
-            last_population_->running = false;
-            last_population_->resumed_dice = res.resumed_dice;
-        }
+        population_state_.set("running", false);
+        population_state_.set("resumed_dice", res.resumed_dice);
     }
     return result;
+}
+
+void Session::publish(Json& slot, Json value) {
+    std::lock_guard lock(state_m_);
+    slot = std::move(value);
+}
+
+ModelPtr Session::published_node(const Json& slot,
+                                 const std::atomic<std::uint64_t>& runs) const {
+    Json value;
+    {
+        std::lock_guard lock(state_m_);
+        value = slot;
+    }
+    value.set("runs", runs.load(std::memory_order_relaxed));
+    return json_node(std::move(value));
 }
 
 ModelPtr Session::model() const {
@@ -687,7 +708,7 @@ ModelPtr Session::model() const {
 
     // One site's subtree: every leaf re-reads the snapshot under the
     // state mutex, so a query observes a coherent post-scan value
-    // without ever touching the job mutex.
+    // without waiting for a running job.
     auto site_node = [self](std::size_t i) -> ModelPtr {
         auto field = [self, i](auto read) {
             return leaf([self, i, read] {
@@ -758,132 +779,6 @@ ModelPtr Session::model() const {
         });
     };
 
-    // sessions[i].dtm — the most recent closed-loop run, if any. Every
-    // leaf re-reads the published snapshot under the state mutex; the
-    // regions array renders empty before the first dtm_run.
-    auto dtm_node = [self]() -> ModelPtr {
-        auto summary = [self](auto read) {
-            return leaf([self, read] {
-                std::lock_guard lock(self->state_m_);
-                if (!self->last_dtm_) return Json(nullptr);
-                return read(*self->last_dtm_);
-            });
-        };
-        auto region_node = [self](std::size_t i) -> ModelPtr {
-            auto field = [self, i](auto read) {
-                return leaf([self, i, read] {
-                    std::lock_guard lock(self->state_m_);
-                    if (!self->last_dtm_ ||
-                        i >= self->last_dtm_->regions.size()) {
-                        return Json(nullptr);
-                    }
-                    return read(self->last_dtm_->regions[i]);
-                });
-            };
-            return object({
-                {"name", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.name);
-                     });
-                 }},
-                {"state", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.state);
-                     });
-                 }},
-                {"fault", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.fault);
-                     });
-                 }},
-                {"u", [field] {
-                     return field(
-                         [](const DtmRegionSnapshot& r) { return Json(r.u); });
-                 }},
-                {"true_c", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.true_c);
-                     });
-                 }},
-                {"peak_true_c", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.peak_true_c);
-                     });
-                 }},
-                {"measured_c", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return r.has_measurement ? Json(r.measured_c)
-                                                  : Json(nullptr);
-                     });
-                 }},
-                {"trust", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.trust);
-                     });
-                 }},
-                {"fault_latches", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.fault_latches);
-                     });
-                 }},
-                {"probes", [field] {
-                     return field([](const DtmRegionSnapshot& r) {
-                         return Json(r.probes);
-                     });
-                 }},
-            });
-        };
-        return object({
-            {"runs", [self] {
-                 return leaf([self] {
-                     return Json(
-                         self->dtm_runs_.load(std::memory_order_relaxed));
-                 });
-             }},
-            {"supervised", [summary] {
-                 return summary(
-                     [](const DtmSnapshot& s) { return Json(s.supervised); });
-             }},
-            {"die_peak_c", [summary] {
-                 return summary(
-                     [](const DtmSnapshot& s) { return Json(s.die_peak_c); });
-             }},
-            {"settling_time_s", [summary] {
-                 return summary([](const DtmSnapshot& s) {
-                     return Json(s.settling_time_s);
-                 });
-             }},
-            {"max_overshoot_c", [summary] {
-                 return summary([](const DtmSnapshot& s) {
-                     return Json(s.max_overshoot_c);
-                 });
-             }},
-            {"fault_latches", [summary] {
-                 return summary([](const DtmSnapshot& s) {
-                     return Json(s.fault_latches);
-                 });
-             }},
-            {"tune_solves", [summary] {
-                 return summary(
-                     [](const DtmSnapshot& s) { return Json(s.tune_solves); });
-             }},
-            {"steps", [summary] {
-                 return summary(
-                     [](const DtmSnapshot& s) { return Json(s.steps); });
-             }},
-            {"regions", [self, region_node] {
-                 return array(
-                     [self] {
-                         std::lock_guard lock(self->state_m_);
-                         return self->last_dtm_
-                                    ? self->last_dtm_->regions.size()
-                                    : std::size_t{0};
-                     },
-                     region_node);
-             }},
-        });
-    };
-
     // sessions[i].kernel — the transient-kernel configuration this
     // session's SPICE work runs with (projected once from the immutable
     // spec) plus the live kernel counters. The counters come from the
@@ -917,109 +812,6 @@ ModelPtr Session::model() const {
             {"bypass_hits", [metric] { return metric("spice.eval.bypass_hits"); }},
             {"refactors", [metric] { return metric("spice.newton.refactor"); }},
             {"lu_reuses", [metric] { return metric("spice.newton.reuse"); }},
-        });
-    };
-
-    // sessions[i].population — the most recent (or currently running)
-    // population study. Leaves re-read the snapshot published by the
-    // engine's per-shard callback under the state mutex, so a second
-    // client watches dice_done and the running quantiles advance while
-    // the run still holds the job mutex.
-    auto population_node = [self]() -> ModelPtr {
-        auto field = [self](auto read) {
-            return leaf([self, read] {
-                std::lock_guard lock(self->state_m_);
-                if (!self->last_population_) return Json(nullptr);
-                return read(*self->last_population_);
-            });
-        };
-        return object({
-            {"runs", [self] {
-                 return leaf([self] {
-                     return Json(self->population_runs_.load(
-                         std::memory_order_relaxed));
-                 });
-             }},
-            {"running", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.running);
-                 });
-             }},
-            {"calibration", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.calibration);
-                 });
-             }},
-            {"dice_total", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.dice_total);
-                 });
-             }},
-            {"dice_done", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.dice_done);
-                 });
-             }},
-            {"shard", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(static_cast<std::uint64_t>(s.shard));
-                 });
-             }},
-            {"shards", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(static_cast<std::uint64_t>(s.shards));
-                 });
-             }},
-            {"resumed_dice", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.resumed_dice);
-                 });
-             }},
-            {"yield_fresh", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.yield_fresh);
-                 });
-             }},
-            {"yield_aged", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.yield_aged);
-                 });
-             }},
-            {"fresh_mean_c", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.fresh_mean_c);
-                 });
-             }},
-            {"fresh_p50_c", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.fresh_p50_c);
-                 });
-             }},
-            {"fresh_p90_c", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.fresh_p90_c);
-                 });
-             }},
-            {"fresh_p99_c", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.fresh_p99_c);
-                 });
-             }},
-            {"fresh_max_c", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.fresh_max_c);
-                 });
-             }},
-            {"aged_p99_c", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.aged_p99_c);
-                 });
-             }},
-            {"drift_p50_c", [field] {
-                 return field([](const PopulationSnapshot& s) {
-                     return Json(s.drift_p50_c);
-                 });
-             }},
         });
     };
 
@@ -1060,8 +852,13 @@ ModelPtr Session::model() const {
                                                 : Json(nullptr);
              });
          }},
-        {"dtm", dtm_node},
-        {"population", population_node},
+        {"dtm", [self] {
+             return self->published_node(self->dtm_state_, self->dtm_runs_);
+         }},
+        {"population", [self] {
+             return self->published_node(self->population_state_,
+                                         self->population_runs_);
+         }},
         {"kernel", kernel_node},
     });
 }

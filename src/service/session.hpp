@@ -8,13 +8,14 @@
 // epochs forward scan over scan) and the RuntimeOptions that project
 // every per-layer runtime struct.
 //
-// Requests against one session serialize on the session's job mutex
-// (the supervisor is a single ledger; two concurrent scans would race
-// it); requests against different sessions run concurrently on the
-// server's shared pool. The session publishes a lazily-evaluated object
-// model subtree (sessions[i].sites[j].health, .last_map, .config) that
-// readers evaluate without touching the job mutex — queries never block
-// behind a running sweep.
+// The server's scheduler runs one job per session at a time (the
+// supervisor is a single ledger; two concurrent scans would race it),
+// so the running job owns the monitor and the DTM fleet without a lock;
+// jobs for different sessions run concurrently on the server's shared
+// pool. The session publishes a lazily-evaluated object model subtree
+// (sessions[i].sites[j].health, .last_map, .dtm, .population, .config)
+// from state a job publishes under a short state lock — queries never
+// wait for a running job.
 //
 // Determinism contract, inherited from the layers below: the same
 // request against the same session state yields bitwise the same result
@@ -74,7 +75,7 @@ public:
     const std::string& name() const { return name_; }
     std::size_t site_count() const { return monitor_.sites().size(); }
 
-    // ---- request handlers (serialized on the job mutex) -----------------
+    // ---- request handlers: the server runs one at a time ----------------
 
     /// {"site": index | name, "fresh": bool} -> one SiteReading. Uses
     /// the cached map when available unless fresh is set.
@@ -113,18 +114,23 @@ public:
 
     // ---- object model ----------------------------------------------------
 
-    /// The sessions[i] subtree. Leaves read the session's published
-    /// state under the state mutex — never the job mutex.
+    /// The sessions[i] subtree. It reads the session's published state
+    /// under the state mutex, never anything a running job owns.
     ModelPtr model() const;
 
     // ---- introspection ---------------------------------------------------
     std::uint64_t requests() const { return requests_.load(std::memory_order_relaxed); }
 
 private:
-    /// Runs a scan and publishes its summary; requires job_m_ held.
-    sensor::MapResult scan_locked();
+    /// Runs a scan and publishes its summary.
+    sensor::MapResult scan();
     /// Copies the scan outcome into the query-visible snapshot.
     void publish_map(const sensor::MapResult& map);
+    /// Replaces one published Json snapshot under the state mutex.
+    void publish(Json& slot, Json value);
+    /// A node over a published snapshot, read once, plus its `runs`.
+    ModelPtr published_node(const Json& slot,
+                            const std::atomic<std::uint64_t>& runs) const;
 
     static Json reading_json(const sensor::SiteReading& r);
 
@@ -135,15 +141,15 @@ private:
     exec::ResultCache* cache_;
     const std::string spool_dir_;
 
-    /// Serializes heavy work (the supervisor ledger is one state
-    /// machine; scans must not interleave).
-    std::mutex job_m_;
+    /// Owned by the running job: the supervisor ledger is one state
+    /// machine, and scans must not interleave.
     sensor::ThermalMonitor monitor_;
 
-    /// Lazily built closed-loop DTM fleet (guarded by job_m_). Keyed by
-    /// the request params that shape it: a repeat request with the same
-    /// key reuses the tuned fleet (runs reset their own state), so only
-    /// the first call per parameter set pays the autotune solves.
+    /// Lazily built closed-loop DTM fleet, owned by the running job.
+    /// Keyed by the request params that shape it: a repeat request with
+    /// the same key reuses the tuned fleet (runs reset their own state),
+    /// so only the first call per parameter set pays the autotune
+    /// solves.
     std::unique_ptr<dtm::DtmFleet> dtm_fleet_;
     std::string dtm_fleet_key_;
 
@@ -166,57 +172,13 @@ private:
     std::optional<Json> last_map_summary_;
     std::uint64_t scans_ = 0;
 
-    /// Query-visible outcome of the most recent dtm_run: strings (not
-    /// dtm enums) so the object-model leaves render without holding any
-    /// dtm type, and the header stays free of dtm includes.
-    struct DtmRegionSnapshot {
-        std::string name;
-        std::string state;
-        std::string fault;
-        double u = 0.0;
-        double true_c = 0.0;
-        double measured_c = 0.0;
-        bool has_measurement = false;
-        double trust = 0.0;
-        double peak_true_c = 0.0;
-        std::uint64_t fault_latches = 0;
-        std::uint64_t probes = 0;
-    };
-    struct DtmSnapshot {
-        bool supervised = true;
-        double die_peak_c = 0.0;
-        double settling_time_s = -1.0;
-        double max_overshoot_c = 0.0;
-        std::uint64_t fault_latches = 0;
-        std::uint64_t tune_solves = 0;
-        std::uint64_t steps = 0;
-        std::vector<DtmRegionSnapshot> regions;
-    };
-    std::optional<DtmSnapshot> last_dtm_;
-
-    /// Query-visible state of the most recent population_run, updated
-    /// live from the engine's per-shard progress callback (under
-    /// state_m_ only): queries observe dice_done, the shard index, and
-    /// the running quantiles while the job mutex is held by the run.
-    struct PopulationSnapshot {
-        bool running = false;
-        std::string calibration;
-        std::uint64_t dice_total = 0;
-        std::uint64_t dice_done = 0;
-        std::size_t shard = 0;  ///< Shards folded so far.
-        std::size_t shards = 0; ///< Total shards.
-        std::uint64_t resumed_dice = 0;
-        double yield_fresh = 0.0;
-        double yield_aged = 0.0;
-        double fresh_mean_c = 0.0;
-        double fresh_p50_c = 0.0;
-        double fresh_p90_c = 0.0;
-        double fresh_p99_c = 0.0;
-        double fresh_max_c = 0.0;
-        double aged_p99_c = 0.0;
-        double drift_p50_c = 0.0;
-    };
-    std::optional<PopulationSnapshot> last_population_;
+    /// sessions[i].dtm: the outcome of the most recent dtm_run, and
+    /// sessions[i].population: the most recent (or running)
+    /// population_run, updated after every folded shard. Each is one
+    /// Json value under state_m_, in the shape queries render it; before
+    /// the first run every field is null.
+    Json dtm_state_;
+    Json population_state_;
 
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> sweeps_{0};

@@ -27,4 +27,16 @@ inline std::string digest(const std::vector<double>& values) {
     return buf;
 }
 
+/// 64-bit FNV-1a over the bytes of `text`, as 16 hex digits.
+inline std::string digest_bytes(const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+}
+
 } // namespace stsense::golden

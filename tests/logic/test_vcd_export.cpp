@@ -19,7 +19,11 @@ protected:
         os << in.rdbuf();
         return os.str();
     }
-    std::string path_ = testing::TempDir() + "stsense_logic_vcd.vcd";
+    // One file per test: ctest runs the tests of this fixture in
+    // parallel processes, which must not write the same file.
+    std::string path_ =
+        testing::TempDir() + "stsense_logic_vcd_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() + ".vcd";
 };
 
 TEST_F(LogicVcdTest, DumpsRecordedChanges) {

@@ -1,6 +1,7 @@
 // FairScheduler: weighted round-robin dispatch order is deterministic
 // given arrival order, admission caps reject with the right verdict
-// (never hang), and drain discards queued work through on_discard.
+// (never hang), drain discards queued work through on_discard, and at
+// most one job per session runs at a time.
 #include "service/fair_queue.hpp"
 
 #include "exec/thread_pool.hpp"
@@ -8,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,6 +235,205 @@ TEST(ServiceFairQueue, CountersTrackLifecycle) {
     EXPECT_EQ(sched.executing(), 0u);
     EXPECT_EQ(sched.inflight(c), 0u);
     EXPECT_EQ(sched.completed(), 2u);
+}
+
+/// Polls `done` (a scheduler counter condition) for up to 10 s.
+template <class Pred>
+bool eventually(Pred done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > give_up) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+FairScheduler::Limits unbounded(int max_concurrency) {
+    FairScheduler::Limits limits;
+    limits.max_concurrency = max_concurrency;
+    limits.max_inflight_per_client = 0;
+    limits.max_queued_per_client = 0;
+    limits.max_queued_total = 0;
+    return limits;
+}
+
+TEST(ServiceFairQueue, SecondJobForABusySessionWaitsWhileAnotherSessionRuns) {
+    exec::ThreadPool pool(4);
+    FairScheduler sched(pool, unbounded(4));
+    const int a = sched.add_client(1);
+    const int b = sched.add_client(1);
+
+    Gate gate0;
+    Gate gate1;
+    std::atomic<bool> second_ran{false};
+    ASSERT_EQ(sched.submit(a, [&gate0] { gate0.wait(); }, {}, 0),
+              FairScheduler::Admit::Ok);
+    ASSERT_EQ(sched.submit(a, [&second_ran] { second_ran = true; }, {}, 0),
+              FairScheduler::Admit::Ok);
+    ASSERT_EQ(sched.submit(b, [&gate1] { gate1.wait(); }, {}, 1),
+              FairScheduler::Admit::Ok);
+
+    // Session 0's second job stays queued behind the first while the
+    // session-1 job of the other client takes a free slot.
+    EXPECT_EQ(sched.executing(), 2u);
+    EXPECT_EQ(sched.queued(), 1u);
+    EXPECT_FALSE(second_ran.load());
+
+    gate1.open();
+    ASSERT_TRUE(eventually([&] { return sched.executing() == 1; }));
+    EXPECT_EQ(sched.queued(), 1u); // still session 0's turn to finish
+    EXPECT_FALSE(second_ran.load());
+
+    gate0.open();
+    sched.wait_idle();
+    EXPECT_TRUE(second_ran.load());
+    EXPECT_EQ(sched.completed(), 3u);
+}
+
+TEST(ServiceFairQueue, SameSessionJobsStartInSubmissionOrder) {
+    exec::ThreadPool pool(4);
+    FairScheduler sched(pool, unbounded(4));
+    const int c = sched.add_client(1);
+
+    Gate gate;
+    OrderLog log;
+    ASSERT_EQ(sched.submit(c, [&gate] { gate.wait(); }, {}, 0),
+              FairScheduler::Admit::Ok);
+    for (int i = 1; i <= 6; ++i) {
+        const std::string label = "J" + std::to_string(i);
+        ASSERT_EQ(sched.submit(c, [&log, label] { log.add(label); }, {}, 0),
+                  FairScheduler::Admit::Ok);
+    }
+    // Four slots, one session: only the gate job runs.
+    EXPECT_EQ(sched.executing(), 1u);
+    EXPECT_EQ(sched.queued(), 6u);
+
+    gate.open();
+    sched.wait_idle();
+    const std::vector<std::string> expected = {"J1", "J2", "J3",
+                                               "J4", "J5", "J6"};
+    EXPECT_EQ(log.get(), expected);
+}
+
+TEST(ServiceFairQueue, JobForAnIdleSessionPassesJobForABusySession) {
+    exec::ThreadPool pool(4);
+    FairScheduler sched(pool, unbounded(4));
+    const int c = sched.add_client(1);
+
+    Gate gate;
+    Gate idle_gate;
+    std::atomic<bool> idle_started{false};
+    std::atomic<bool> busy_ran{false};
+    ASSERT_EQ(sched.submit(c, [&gate] { gate.wait(); }, {}, 0),
+              FairScheduler::Admit::Ok);
+    // Queued first, but its session is busy.
+    ASSERT_EQ(sched.submit(c, [&busy_ran] { busy_ran = true; }, {}, 0),
+              FairScheduler::Admit::Ok);
+    // Queued second, for an idle session: it must not wait.
+    ASSERT_EQ(sched.submit(c,
+                           [&idle_started, &idle_gate] {
+                               idle_started = true;
+                               idle_gate.wait();
+                           },
+                           {}, 1),
+              FairScheduler::Admit::Ok);
+
+    ASSERT_TRUE(eventually([&] { return idle_started.load(); }));
+    EXPECT_EQ(sched.executing(), 2u);
+    EXPECT_EQ(sched.queued(), 1u);
+    EXPECT_FALSE(busy_ran.load());
+
+    idle_gate.open();
+    gate.open();
+    sched.wait_idle();
+    EXPECT_TRUE(busy_ran.load());
+}
+
+TEST(ServiceFairQueue, ThrowingJobFreesItsSession) {
+    exec::ThreadPool pool(2);
+    FairScheduler sched(pool, unbounded(2));
+    const int c = sched.add_client(1);
+
+    Gate gate;
+    std::atomic<bool> next_ran{false};
+    ASSERT_EQ(sched.submit(c,
+                           [&gate] {
+                               gate.wait();
+                               throw std::runtime_error("job failed");
+                           },
+                           {}, 0),
+              FairScheduler::Admit::Ok);
+    ASSERT_EQ(sched.submit(c, [&next_ran] { next_ran = true; }, {}, 0),
+              FairScheduler::Admit::Ok);
+    EXPECT_EQ(sched.queued(), 1u);
+
+    gate.open();
+    sched.wait_idle();
+    EXPECT_TRUE(next_ran.load());
+    EXPECT_EQ(sched.completed(), 2u);
+    EXPECT_EQ(sched.executing(), 0u);
+}
+
+TEST(ServiceFairQueue, DiscardDrainHandsSessionBlockedJobsToCallback) {
+    exec::ThreadPool pool(4);
+    FairScheduler sched(pool, unbounded(4));
+    const int c = sched.add_client(1);
+
+    Gate gate;
+    std::atomic<int> ran{0};
+    ASSERT_EQ(sched.submit(c,
+                           [&gate, &ran] {
+                               gate.wait();
+                               ran.fetch_add(1);
+                           },
+                           {}, 0),
+              FairScheduler::Admit::Ok);
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_EQ(sched.submit(c, [&ran] { ran.fetch_add(1); }, {}, 0),
+                  FairScheduler::Admit::Ok);
+    }
+    // Free slots, but every queued job waits for session 0.
+    EXPECT_EQ(sched.executing(), 1u);
+    EXPECT_EQ(sched.queued(), 3u);
+
+    std::atomic<int> discarded{0};
+    std::thread opener([&sched, &gate] {
+        while (!sched.draining()) std::this_thread::yield();
+        gate.open();
+    });
+    sched.drain(/*discard_queued=*/true,
+                [&discarded](std::function<void()>) { discarded.fetch_add(1); });
+    opener.join();
+
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_EQ(discarded.load(), 3);
+    EXPECT_EQ(sched.queued(), 0u);
+    EXPECT_EQ(sched.executing(), 0u);
+}
+
+TEST(ServiceFairQueue, SessionlessJobsRunConcurrently) {
+    exec::ThreadPool pool(4);
+    FairScheduler sched(pool, unbounded(4));
+    const int c = sched.add_client(1);
+
+    Gate gate;
+    std::atomic<int> started{0};
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_EQ(sched.submit(c,
+                               [&gate, &started] {
+                                   started.fetch_add(1);
+                                   gate.wait();
+                               }),
+                  FairScheduler::Admit::Ok);
+    }
+    EXPECT_EQ(sched.executing(), 3u);
+    EXPECT_EQ(sched.queued(), 0u);
+    ASSERT_TRUE(eventually([&] { return started.load() == 3; }));
+
+    gate.open();
+    sched.wait_idle();
+    EXPECT_EQ(sched.completed(), 3u);
 }
 
 } // namespace

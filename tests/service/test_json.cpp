@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace stsense::service {
@@ -86,6 +88,39 @@ TEST(ServiceJson, ContainerAccessorsAndFallbacks) {
     EXPECT_FALSE(j.contains("z"));
     EXPECT_EQ(j.at("missing").as_int(-7), -7);
     EXPECT_EQ(j.at("missing").as_string("dflt"), "dflt");
+}
+
+TEST(ServiceJson, IntegerAccessorsSaturate) {
+    constexpr auto int_max = std::numeric_limits<int>::max();
+    constexpr auto int_min = std::numeric_limits<int>::min();
+    constexpr auto i64_max = std::numeric_limits<std::int64_t>::max();
+    constexpr auto i64_min = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(Json(1e300).as_int(), int_max);
+    EXPECT_EQ(Json(-1e300).as_int(), int_min);
+    EXPECT_EQ(Json(1e300).as_int64(), i64_max);
+    EXPECT_EQ(Json(-1e300).as_int64(), i64_min);
+
+    // 1e400 overflows the parser's double to +inf.
+    auto parsed = Json::parse("[1e400,-1e400]");
+    ASSERT_TRUE(parsed.value.has_value()) << parsed.error;
+    EXPECT_EQ(parsed.value->at(0).as_double(),
+              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(parsed.value->at(0).as_int(), int_max);
+    EXPECT_EQ(parsed.value->at(1).as_int64(), i64_min);
+
+    // 2^63 is one past int64's range; the largest double below it fits.
+    EXPECT_EQ(Json(9223372036854775808.0).as_int64(), i64_max);
+    EXPECT_EQ(Json(-9223372036854775808.0).as_int64(), i64_min);
+    EXPECT_EQ(Json(9223372036854774784.0).as_int64(), 9223372036854774784LL);
+    EXPECT_EQ(Json(2147483648.0).as_int(), int_max);
+    EXPECT_EQ(Json(-2147483649.0).as_int(), int_min);
+
+    // In range: truncation toward zero, as before.
+    EXPECT_EQ(Json(-2.9).as_int(), -2);
+    EXPECT_EQ(Json(2.9).as_int64(), 2);
+    // NaN has no integer value: the fallback.
+    EXPECT_EQ(Json(std::nan("")).as_int(7), 7);
+    EXPECT_EQ(Json(std::nan("")).as_int64(-3), -3);
 }
 
 TEST(ServiceJson, MalformedInputsRejectedNotCrashed) {

@@ -126,6 +126,67 @@ TEST(ServiceObjectModel, UnknownKeyAndOutOfRangeAreNamedErrors) {
     EXPECT_NE(r.error.find("not an array"), std::string::npos);
 }
 
+TEST(ServiceObjectModel, IndexTooLargeForSizeTIsOutOfRange) {
+    std::atomic<int> mat{0};
+    auto root = make_tree(mat, 2);
+    const auto r = query_model(root, "sessions[99999999999999999999999]");
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("sessions[99999999999999999999999] is out of range"),
+              std::string::npos)
+        << r.error;
+    EXPECT_EQ(mat.load(), 0);
+}
+
+TEST(ServiceObjectModel, JsonNodeRendersLikeTheEquivalentTree) {
+    Json doc = Json::object();
+    doc.set("name", "fleet");
+    doc.set("peak_c", 91.5);
+    Json regions = Json::array();
+    for (const char* state : {"active", "faulted"}) {
+        Json region = Json::object();
+        region.set("state", state);
+        region.set("measured_c", nullptr);
+        regions.push_back(std::move(region));
+    }
+    doc.set("regions", std::move(regions));
+    doc.set("empty", Json::array());
+    const ModelPtr root = object({{"fleet", [doc] { return json_node(doc); }}});
+
+    // Default depth renders the document as it is.
+    auto r = query_model(root, "fleet");
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.value.dump(), doc.dump());
+
+    // Paths address objects, arrays and leaves inside it.
+    r = query_model(root, "fleet.regions[1].state");
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.value.as_string(), "faulted");
+    r = query_model(root, "fleet.regions[2]");
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("out of range (length 2)"), std::string::npos)
+        << r.error;
+    r = query_model(root, "fleet.peak_c.x");
+    EXPECT_FALSE(r.ok);
+
+    // Depth truncates its containers (empty ones too); filters prune
+    // its keys at every level.
+    QueryOptions opt;
+    opt.depth = 1;
+    r = query_model(root, "fleet", opt);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.value.at("peak_c").as_double(), 91.5);
+    EXPECT_EQ(r.value.at("regions").as_string(), QueryOptions::kTruncated);
+    EXPECT_EQ(r.value.at("empty").as_string(), QueryOptions::kTruncated);
+    opt = QueryOptions();
+    opt.filter = "*s*";
+    r = query_model(root, "fleet", opt);
+    ASSERT_TRUE(r.ok);
+    EXPECT_FALSE(r.value.contains("peak_c"));
+    EXPECT_FALSE(r.value.contains("name"));
+    EXPECT_TRUE(r.value.at("regions").at(0).contains("state"));
+    EXPECT_TRUE(r.value.at("regions").at(0).contains("measured_c"));
+}
+
 TEST(ServiceObjectModel, DepthLimitTruncatesContainers) {
     std::atomic<int> mat{0};
     auto root = make_tree(mat, 2);

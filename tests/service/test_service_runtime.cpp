@@ -539,6 +539,202 @@ TEST(ServiceRuntime, SameSessionHeavyRequestsNeverHang) {
     server.wait();
 }
 
+TEST(ServiceRuntime, OneSessionRunsOneJobAtATime) {
+    // Four clients keep thermal maps in flight against session 0 on a
+    // 4-worker pool. The scheduler must run them one at a time: a
+    // sampler of scheduler().executing() never sees more than 1. A
+    // request for session 1, sent while session 0 is saturated, takes a
+    // free slot and answers before session 0's backlog is done.
+    ServerConfig cfg;
+    cfg.threads = 4;
+    // A finer grid than small_session's makes each scan long enough
+    // that the backlog outlasts any scheduling delay of the probe.
+    SessionSpec busy = small_session("die-a");
+    busy.monitor.grid_nx = 32;
+    busy.monitor.grid_ny = 32;
+    Server server(cfg, {busy, small_session("die-b")});
+    LoopbackTransport loopback;
+    server.start(loopback);
+    // The probe's connection and session 1's first scan are set up
+    // before the load, so the probe itself costs one warm scan.
+    Client probe(loopback.connect());
+    Json probe_params = Json::object();
+    probe_params.set("session", 1);
+    ASSERT_TRUE(probe.call(1, "thermal_map", probe_params).at("ok").as_bool());
+
+    constexpr int kClients = 4;
+    constexpr int kRequests = 20;
+    constexpr int kTotal = kClients * kRequests;
+    std::atomic<int> answered{0};
+    std::atomic<int> answered_ok{0};
+    std::atomic<bool> sampling{false};
+    std::atomic<bool> probing{false};
+    std::atomic<bool> load_done{false};
+    std::atomic<std::size_t> max_executing{0};
+    std::thread sampler([&] {
+        sampling = true;
+        while (!load_done.load()) {
+            // Read the counter first: if `probing` still reads false
+            // afterwards, the sample predates the probe's admission.
+            const std::size_t e = server.scheduler().executing();
+            if (!probing.load() && e > max_executing.load()) max_executing = e;
+            std::this_thread::yield();
+        }
+    });
+    while (!sampling.load()) std::this_thread::yield();
+
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&loopback, &answered, &answered_ok] {
+            Client client(loopback.connect());
+            for (int i = 0; i < kRequests; ++i) {
+                Json p = Json::object();
+                p.set("session", 0);
+                const Json r = client.call(i + 1, "thermal_map", std::move(p));
+                if (r.at("ok").as_bool()) answered_ok.fetch_add(1);
+                answered.fetch_add(1);
+            }
+        });
+    }
+
+    // Halfway through session 0's backlog, once the sampler has seen
+    // it running, ask session 1 for a map.
+    while (answered.load() < kTotal &&
+           (answered.load() < kTotal / 2 || max_executing.load() == 0)) {
+        std::this_thread::yield();
+    }
+    probing = true;
+    const Json r = probe.call(2, "thermal_map", probe_params);
+    const int answered_at_probe = answered.load();
+    EXPECT_TRUE(r.at("ok").as_bool()) << r.dump();
+    EXPECT_LT(answered_at_probe, kTotal)
+        << "session 1 waited for session 0's whole backlog";
+
+    for (auto& t : clients) t.join();
+    load_done = true;
+    sampler.join();
+    EXPECT_EQ(answered_ok.load(), kTotal);
+    EXPECT_EQ(max_executing.load(), 1u);
+
+    server.request_shutdown();
+    server.wait();
+}
+
+TEST(ServiceRuntime, HandleInlineHeavyRequestGoesThroughTheScheduler) {
+    ServerConfig cfg;
+    cfg.threads = 2;
+    Server server(cfg, {small_session("die")});
+
+    const std::uint64_t before = server.scheduler().completed();
+    auto parsed = Json::parse(
+        server.handle_inline(R"({"id":3,"method":"thermal_map"})"));
+    ASSERT_TRUE(parsed.value.has_value());
+    EXPECT_TRUE(parsed.value->at("ok").as_bool()) << parsed.value->dump();
+    EXPECT_EQ(parsed.value->at("id").as_int64(), 3);
+    // The job answers before the scheduler books its completion.
+    server.scheduler().wait_idle();
+    EXPECT_EQ(server.scheduler().completed(), before + 1);
+
+    // An unknown session is answered at admission: no queue slot.
+    parsed = Json::parse(server.handle_inline(
+        R"({"id":4,"method":"sweep","params":{"session":"nope"}})"));
+    ASSERT_TRUE(parsed.value.has_value());
+    EXPECT_EQ(error_code_of(*parsed.value), "unknown-session");
+    EXPECT_EQ(server.scheduler().completed(), before + 1);
+    EXPECT_EQ(server.scheduler().rejected(), 0u);
+}
+
+TEST(ServiceRuntime, HandleInlineRegistersItsClientOnFirstHeavyUse) {
+    ServerConfig cfg;
+    cfg.threads = 2;
+    Server server(cfg, {small_session("die")});
+    // A light inline request takes no scheduler client...
+    ASSERT_TRUE(Json::parse(server.handle_inline(R"({"id":1,"method":"ping"})"))
+                    .value.has_value());
+    LoopbackTransport loopback;
+    server.start(loopback);
+    Client client(loopback.connect());
+    // ...so the first wire client is still client 0.
+    const Json hello = client.call(1, "hello");
+    ASSERT_TRUE(hello.at("ok").as_bool()) << hello.dump();
+    EXPECT_EQ(hello.at("result").at("client").as_int(), 0);
+    server.request_shutdown();
+    server.wait();
+}
+
+TEST(ServiceRuntime, OutOfRangeWireIntegersSaturate) {
+    ServerConfig cfg;
+    cfg.threads = 2;
+    Server server(cfg, {small_session("die")});
+    const auto inline_call = [&server](const std::string& line) {
+        auto parsed = Json::parse(server.handle_inline(line));
+        EXPECT_TRUE(parsed.value.has_value()) << line;
+        return parsed.value.value_or(Json());
+    };
+
+    // 2^63 is one past the largest id: malformed, and not echoed back.
+    Json r = inline_call(R"({"id":9223372036854775808,"method":"ping"})");
+    EXPECT_EQ(error_code_of(r), "malformed-request");
+    EXPECT_EQ(r.at("id").as_double(), 0.0);
+    r = inline_call(R"({"id":1e300,"method":7})");
+    EXPECT_EQ(error_code_of(r), "malformed-request");
+    EXPECT_EQ(r.at("id").as_double(), 0.0);
+
+    // cancel echoes the saturated id, not a wrapped negative one.
+    r = inline_call(R"({"id":1,"method":"cancel","params":{"request":1e300}})");
+    ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
+    EXPECT_GT(r.at("result").at("request").as_double(), 0.0);
+    EXPECT_FALSE(r.at("result").at("cancelled").as_bool());
+
+    // Clamps see a huge value as huge.
+    r = inline_call(
+        R"({"id":2,"method":"query","params":{"path":"pool","depth":1e300}})");
+    ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
+    EXPECT_TRUE(r.at("result").at("value").is_object()) << r.dump();
+    r = inline_call(R"({"id":3,"method":"hello","params":{"weight":1e300}})");
+    ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
+    EXPECT_EQ(r.at("result").at("weight").as_int(), 64);
+
+    // Range checks reject it as out of range, on purpose.
+    r = inline_call(R"({"id":4,"method":"sweep","params":{"points":1e300}})");
+    EXPECT_EQ(error_code_of(r), "bad-params");
+    EXPECT_NE(r.at("error").at("message").as_string().find("out of range"),
+              std::string::npos)
+        << r.dump();
+    for (const char* session : {"1e300", "-1e300"}) {
+        r = inline_call(std::string(R"({"id":5,"method":"measure_site",)") +
+                        R"("params":{"site":0,"session":)" + session + "}}");
+        EXPECT_EQ(error_code_of(r), "unknown-session") << session;
+    }
+    r = inline_call(
+        R"({"id":6,"method":"measure_site","params":{"site":1e300}})");
+    EXPECT_EQ(error_code_of(r), "bad-params");
+    EXPECT_NE(r.at("error").at("message").as_string().find("unknown site"),
+              std::string::npos)
+        << r.dump();
+}
+
+TEST(ServiceRuntime, HugeModelIndexIsOutOfRange) {
+    ServerConfig cfg;
+    cfg.threads = 2;
+    Server server(cfg, {small_session("die")});
+    LoopbackTransport loopback;
+    server.start(loopback);
+    Client client(loopback.connect());
+
+    Json q = Json::object();
+    q.set("path", "sessions[99999999999999999999999]");
+    const Json r = client.call(1, "query", std::move(q));
+    ASSERT_FALSE(r.at("ok").as_bool());
+    EXPECT_EQ(error_code_of(r), "unknown-path");
+    EXPECT_NE(r.at("error").at("message").as_string().find("out of range"),
+              std::string::npos)
+        << r.dump();
+
+    server.request_shutdown();
+    server.wait();
+}
+
 TEST(ServiceRuntime, SubscriptionPushesEventOnChange) {
     ServerConfig cfg;
     cfg.threads = 2;

@@ -29,7 +29,11 @@ protected:
         os << in.rdbuf();
         return os.str();
     }
-    std::string path_ = testing::TempDir() + "stsense_vcd_export.vcd";
+    // One file per test: ctest runs the tests of this fixture in
+    // parallel processes, which must not write the same file.
+    std::string path_ =
+        testing::TempDir() + "stsense_vcd_export_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() + ".vcd";
 };
 
 TEST_F(VcdExportTest, WritesRealVariablesPerTrace) {

@@ -20,7 +20,11 @@ std::string slurp(const std::string& path) {
 class CsvTest : public ::testing::Test {
 protected:
     void TearDown() override { std::remove(path_.c_str()); }
-    std::string path_ = testing::TempDir() + "stsense_csv_test.csv";
+    // One file per test: ctest runs the tests of this fixture in
+    // parallel processes, which must not write the same file.
+    std::string path_ =
+        testing::TempDir() + "stsense_csv_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {
