@@ -137,8 +137,10 @@ cmake --build "$repo/build-tsan" --target stsense_tests -j "$jobs"
 # already pick up the matching *Cancel/*Retry suites. Population* adds
 # the sharded Monte Carlo engine (parallel shard eval + serial fold,
 # live snapshot publication raced against object-model readers).
+# ThermalMonitor* adds the monitor's lazily solved steady field, which
+# threads racing a legacy-mode monitor's first scan() solve only once.
 "$repo/build-tsan/tests/stsense_tests" \
-    --gtest_filter='ThreadPool*:TaskGroup*:ResultCache*:Metrics*:Fingerprint*:ExecDeterminism*:TemperatureSweep*:PaperSweep*:Variation*:FaultInjector*:SweepFaultPolicy*:Tracer*:TraceParity*:Service*:DtmService*:CancelToken*:CancelScope*:OptimizerCancel*:Population*:VariationStream*'
+    --gtest_filter='ThreadPool*:TaskGroup*:ResultCache*:Metrics*:Fingerprint*:ExecDeterminism*:TemperatureSweep*:PaperSweep*:Variation*:FaultInjector*:SweepFaultPolicy*:Tracer*:TraceParity*:Service*:DtmService*:CancelToken*:CancelScope*:OptimizerCancel*:Population*:VariationStream*:ThermalMonitor*'
 
 echo "== tier 1: whole suite under AddressSanitizer + UBSan =="
 # STSENSE_SANITIZE=address builds with

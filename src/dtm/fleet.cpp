@@ -82,33 +82,54 @@ Expected<bool> ControlOptions::try_validate() const {
     auto fail = [](const char* msg) {
         return Expected<bool>(Error{ErrorKind::OutOfRange, msg});
     };
-    if (!(target_c_ < trip_c_)) {
+    // Every check is written to fail on NaN, and every field must be
+    // finite: an infinite or NaN time would reach run() and tune() as a
+    // step count. run() and tune() cast lround(a / b) to int step counts.
+    auto fits_int = [](double steps) {
+        return steps < static_cast<double>(std::numeric_limits<int>::max());
+    };
+    if (!(std::isfinite(target_c_) && std::isfinite(trip_c_) &&
+          target_c_ < trip_c_)) {
         return fail("ControlOptions: target must lie below trip");
     }
-    if (control_dt_s_ <= 0.0 || !std::isfinite(control_dt_s_)) {
+    if (!(std::isfinite(control_dt_s_) && control_dt_s_ > 0.0)) {
         return fail("ControlOptions: control_dt must be > 0");
     }
-    if (sim_dt_s_ <= 0.0 || sim_dt_s_ > control_dt_s_) {
+    if (!(sim_dt_s_ > 0.0 && sim_dt_s_ <= control_dt_s_)) {
         return fail("ControlOptions: sim_dt must be in (0, control_dt]");
     }
-    if (duration_s_ <= 0.0) return fail("ControlOptions: duration must be > 0");
-    if (u_floor_ <= 0.0 || u_floor_ >= 1.0) {
+    if (!(std::isfinite(duration_s_) && duration_s_ > 0.0)) {
+        return fail("ControlOptions: duration must be > 0");
+    }
+    if (!fits_int(duration_s_ / control_dt_s_) ||
+        !fits_int(control_dt_s_ / sim_dt_s_)) {
+        return fail("ControlOptions: duration / control_dt and "
+                    "control_dt / sim_dt must fit an int step count");
+    }
+    if (!(u_floor_ > 0.0 && u_floor_ < 1.0)) {
         return fail("ControlOptions: throttle_floor must be in (0, 1)");
     }
-    if (tau_c_s_ <= 0.0) return fail("ControlOptions: tau_c must be > 0");
-    if (tune_step_ <= 0.0 || tune_step_ >= 1.0) {
+    if (!(std::isfinite(tau_c_s_) && tau_c_s_ > 0.0)) {
+        return fail("ControlOptions: tau_c must be > 0");
+    }
+    if (!(tune_step_ > 0.0 && tune_step_ < 1.0)) {
         return fail("ControlOptions: tune_step must be in (0, 1)");
     }
-    if (tune_horizon_s_ < 10.0 * sim_dt_s_) {
+    if (!(std::isfinite(tune_horizon_s_) &&
+          tune_horizon_s_ >= 10.0 * sim_dt_s_)) {
         return fail("ControlOptions: tune_horizon must cover >= 10 sim steps");
     }
-    if (neighbor_derate_ <= 0.0 || neighbor_derate_ > 1.0) {
+    if (!fits_int(tune_horizon_s_ / sim_dt_s_)) {
+        return fail("ControlOptions: tune_horizon / sim_dt must fit an int "
+                    "step count");
+    }
+    if (!(neighbor_derate_ > 0.0 && neighbor_derate_ <= 1.0)) {
         return fail("ControlOptions: neighbor_derate must be in (0, 1]");
     }
-    if (adjacency_gap_m_ < 0.0) {
+    if (!(std::isfinite(adjacency_gap_m_) && adjacency_gap_m_ >= 0.0)) {
         return fail("ControlOptions: adjacency_gap must be >= 0");
     }
-    if (settle_band_c_ <= 0.0) {
+    if (!(std::isfinite(settle_band_c_) && settle_band_c_ > 0.0)) {
         return fail("ControlOptions: settle_band must be > 0");
     }
     const SupervisorConfig& s = supervisor_;
@@ -118,8 +139,9 @@ Expected<bool> ControlOptions::try_validate() const {
         s.backoff_max_steps < s.backoff_base_steps) {
         return fail("ControlOptions: supervisor ladder thresholds malformed");
     }
-    if (s.excursion_c <= 0.0 || s.stuck_tol <= 0.0 || s.trust_floor < 0.0 ||
-        s.trust_floor >= 1.0) {
+    if (!(std::isfinite(s.excursion_c) && s.excursion_c > 0.0 &&
+          std::isfinite(s.stuck_tol) && s.stuck_tol > 0.0 &&
+          s.trust_floor >= 0.0 && s.trust_floor < 1.0)) {
         return fail("ControlOptions: supervisor detector thresholds malformed");
     }
     return true;

@@ -127,7 +127,9 @@ public:
     // ---- validation -----------------------------------------------------
 
     /// Non-throwing whole-surface check per the unified error contract;
-    /// every violation is ErrorKind::OutOfRange naming the knob.
+    /// every violation is ErrorKind::OutOfRange naming the knob. A NaN or
+    /// infinite value is a violation, and so is a run, inner or tune
+    /// step count that does not fit an int.
     Expected<bool> try_validate() const;
     /// Throwing wrapper (std::invalid_argument), matching validate(const
     /// ThrottlePolicy&) and RuntimeOptions::validate().

@@ -103,8 +103,11 @@ ThermalMonitor::ThermalMonitor(const phys::Technology& tech,
 }
 
 MapResult ThermalMonitor::scan() const {
-    const auto power = floorplan_.power_map(config_.grid_nx, config_.grid_ny);
-    return scan_field(grid_.steady_state(power));
+    std::call_once(steady_once_, [this] {
+        steady_c_ = grid_.steady_state(
+            floorplan_.power_map(config_.grid_nx, config_.grid_ny));
+    });
+    return scan_field(steady_c_);
 }
 
 MapResult ThermalMonitor::scan_field(std::vector<double> temps_c) const {

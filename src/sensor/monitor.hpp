@@ -12,6 +12,7 @@
 #include "thermal/floorplan.hpp"
 #include "thermal/grid.hpp"
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -125,11 +126,15 @@ public:
                    thermal::Floorplan floorplan, std::vector<SensorSite> sites,
                    MonitorConfig config = {});
 
-    /// Solves the steady-state thermal field of the floorplan and scans
-    /// every site through the multiplexed smart unit. With
-    /// MonitorConfig::enable_health the resilient path runs instead:
-    /// supervisor state carries over between scans (quarantine, backoff,
-    /// recovery), which is why scan() stays callable repeatedly.
+    /// Scans every site through the multiplexed smart unit against the
+    /// floorplan's steady-state thermal field. The field is solved by
+    /// the first scan() (thread-safely) and reused by every later one:
+    /// the floorplan, grid and config cannot change, so each scan would
+    /// solve the same system, and scan() == scan_field(steady_state)
+    /// bitwise every time. With MonitorConfig::enable_health the
+    /// resilient path runs instead: supervisor state carries over
+    /// between scans (quarantine, backoff, recovery), which is why
+    /// scan() stays callable repeatedly.
     MapResult scan() const;
 
     /// Scans the sites against a caller-supplied temperature field
@@ -168,6 +173,9 @@ private:
     /// Health ledger across scans (resilient mode); scan() is logically
     /// const but advances the supervisor's epoch and site states.
     mutable SiteHealthSupervisor supervisor_;
+    /// The floorplan's steady field, solved once by the first scan().
+    mutable std::once_flag steady_once_;
+    mutable std::vector<double> steady_c_;
 };
 
 /// A 3x3 uniform sensor placement over a floorplan's die.

@@ -1,7 +1,10 @@
 #include "thermal/grid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace stsense::thermal {
@@ -15,11 +18,60 @@ bool all_finite(std::span<const double> values) {
                        [](double v) { return std::isfinite(v); });
 }
 
-/// Rows relaxed together as one wavefront band. Picked by measurement
-/// (DESIGN.md, "Thermal solver"): enough independent per-row dependency
-/// chains to hide the divide's latency, few enough that a band's cells
-/// stay in L1.
-constexpr int kWavefrontRows = 8;
+/// Two cells relaxed as one value: GCC/Clang vector extensions, which
+/// lower to SSE2 on x86-64 and to NEON on AArch64 with no ISA flag.
+typedef double Lanes __attribute__((vector_size(16)));
+typedef std::int64_t LaneBits __attribute__((vector_size(16)));
+
+/// Unaligned load and store of one cell (V = double) or two (Lanes).
+template <class V>
+V load(const double* p) {
+    V v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+template <class V>
+void store(double* p, V v) {
+    std::memcpy(p, &v, sizeof v);
+}
+
+double magnitude(double v) { return std::abs(v); }
+Lanes magnitude(Lanes v) {
+    // std::abs per lane: clear the sign bit.
+    return std::bit_cast<Lanes>(std::bit_cast<LaneBits>(v) & INT64_MAX);
+}
+
+/// The SOR update's constants, and the slot offsets of a cell's x and y
+/// neighbours in the diagonal-major field.
+struct Stencil {
+    double g_x;
+    double g_y;
+    double omega;
+    std::ptrdiff_t off_x;
+    std::ptrdiff_t off_y;
+};
+
+/// Gauss-Seidel over-relaxation of the cells at c (one per lane of V),
+/// with the lexicographic sweep's expressions in its association: the
+/// neighbours summed left, right, lower, upper from +0.0, a divide, then
+/// the relaxation. max_update keeps its value against a NaN change, as
+/// std::max(max_update, change) does.
+template <class V>
+void relax(double* c, const double* rhs, const double* diag, const Stencil& s,
+           V& max_update) {
+    V neigh{};
+    neigh += s.g_x * load<V>(c - s.off_x);
+    neigh += s.g_x * load<V>(c + s.off_x);
+    neigh += s.g_y * load<V>(c - s.off_y);
+    neigh += s.g_y * load<V>(c + s.off_y);
+    const V old = load<V>(c);
+    const V gs = (load<V>(rhs) + neigh) / load<V>(diag);
+    const V updated = old + s.omega * (gs - old);
+    const V change = magnitude(updated - old);
+    max_update = max_update < change ? change : max_update;
+    store(c, updated);
+}
 
 } // namespace
 
@@ -57,66 +109,97 @@ std::vector<double> ThermalGrid::solve(std::span<const double> source,
     if (!(opt.sor_omega > 0.0 && opt.sor_omega < 2.0)) {
         throw std::invalid_argument("ThermalGrid::solve: sor_omega out of (0, 2)");
     }
-    const auto nx = static_cast<std::size_t>(nx_);
-    const double omega = opt.sor_omega;
-
-    // Per-cell constants, hoisted out of the sweep with the sweep's own
-    // operations in its own order, so they carry the same bits: the
-    // diagonal (g_v + extra + each present neighbour's conductance) and
-    // the right-hand side source + g_v * ambient.
-    std::vector<double> diag(n);
-    std::vector<double> rhs(n);
-    for (int iy = 0; iy < ny_; ++iy) {
-        for (int ix = 0; ix < nx_; ++ix) {
-            const std::size_t i = static_cast<std::size_t>(iy) * nx + ix;
-            double d = g_v_ + extra_diag[i];
-            if (ix > 0) d += g_lat_x_;
-            if (ix < nx_ - 1) d += g_lat_x_;
-            if (iy > 0) d += g_lat_y_;
-            if (iy < ny_ - 1) d += g_lat_y_;
-            diag[i] = d;
-            rhs[i] = source[i] + g_v_ * params_.ambient_c;
-        }
+    if (!finite_positive(opt.tolerance_c)) {
+        throw std::invalid_argument(
+            "ThermalGrid::solve: tolerance_c must be finite and > 0");
+    }
+    if (opt.max_iters < 1) {
+        throw std::invalid_argument("ThermalGrid::solve: max_iters must be >= 1");
     }
 
-    // Gauss-Seidel over-relaxation of one cell: the left and lower
-    // neighbours already hold this sweep's values, the right and upper
-    // ones the last sweep's.
-    std::vector<double> t(initial.begin(), initial.end());
-    auto relax = [&](int ix, int iy, double& max_update) {
-        const std::size_t i = static_cast<std::size_t>(iy) * nx + ix;
-        double neigh = 0.0;
-        if (ix > 0) neigh += g_lat_x_ * t[i - 1];
-        if (ix < nx_ - 1) neigh += g_lat_x_ * t[i + 1];
-        if (iy > 0) neigh += g_lat_y_ * t[i - nx];
-        if (iy < ny_ - 1) neigh += g_lat_y_ * t[i + nx];
-        const double gs = (rhs[i] + neigh) / diag[i];
-        const double updated = t[i] + omega * (gs - t[i]);
-        max_update = std::max(max_update, std::abs(updated - t[i]));
-        t[i] = updated;
-    };
-
-    // One sweep visits the rows in bands of kWavefrontRows. Inside a band
-    // row y0 + j runs j cells behind row y0, so on step k the band
-    // relaxes cells (k - j, y0 + j): each reads a left neighbour relaxed
-    // on step k - 1 and a lower one relaxed on step k - 1 (or in the band
-    // below), while its right and upper neighbours are still untouched.
-    // Every cell therefore sees exactly the values of the row-by-row
-    // lexicographic sweep, and the band's rows are independent
-    // dependency chains within a step. The max is order-free.
-    for (int iter = 0; iter < opt.max_iters; ++iter) {
-        double max_update = 0.0;
-        for (int y0 = 0; y0 < ny_; y0 += kWavefrontRows) {
-            const int rows = std::min(kWavefrontRows, ny_ - y0);
-            for (int k = 0; k < nx_ + rows - 1; ++k) {
-                const int j_first = std::max(0, k - nx_ + 1);
-                const int j_last = std::min(rows - 1, k);
-                for (int j = j_first; j <= j_last; ++j) {
-                    relax(k - j, y0 + j, max_update);
-                }
+    // The field is stored diagonal-major. Anti-diagonal d = ix + iy holds
+    // the cells whose lane coordinate u runs from lo(d) to hi(d); u is
+    // the shorter side's index, so a skewed grid keeps short rows. Cell
+    // (d, u) sits in slot (d + 1) * stride + u + 1: a zero pad row lies
+    // before the first diagonal and after the last, and a zero pad
+    // column on each side of u. A cell's four neighbours then lie on
+    // rows d - 1 and d + 1 at fixed offsets, so a run of cells and each
+    // of its neighbour sets are contiguous loads. A neighbour past the
+    // die edge lands on a slot outside the grid, which no sweep writes.
+    const bool u_is_x = nx_ <= ny_;
+    const int nu = u_is_x ? nx_ : ny_;
+    const int nv = u_is_x ? ny_ : nx_;
+    const int diagonals = nx_ + ny_ - 1;
+    const std::ptrdiff_t stride = nu + 2;
+    const Stencil stencil{g_lat_x_, g_lat_y_, opt.sor_omega,
+                          u_is_x ? stride + 1 : stride,
+                          u_is_x ? stride : stride + 1};
+    auto lo = [&](int d) { return std::max(0, d - nv + 1); };
+    auto hi = [&](int d) { return std::min(d, nu - 1); };
+    // Visits every cell in sweep order as (ix, iy, row-major index, slot).
+    auto for_each_cell = [&](auto&& visit) {
+        for (int d = 0; d < diagonals; ++d) {
+            for (int u = lo(d); u <= hi(d); ++u) {
+                const int ix = u_is_x ? u : d - u;
+                const int iy = u_is_x ? d - u : u;
+                visit(ix, iy, static_cast<std::size_t>(iy) * nx_ + ix,
+                      static_cast<std::size_t>((d + 1) * stride + u + 1));
             }
         }
-        if (max_update < opt.tolerance_c) return t;
+    };
+
+    // Per-cell constants in sweep order, hoisted out of the sweep with
+    // the sweep's own operations in its own order, so they carry the
+    // same bits: the diagonal (g_v + extra + each present neighbour's
+    // conductance) and the right-hand side source + g_v * ambient.
+    std::vector<double> t(static_cast<std::size_t>((diagonals + 2) * stride), 0.0);
+    std::vector<double> diag;
+    std::vector<double> rhs;
+    diag.reserve(n);
+    rhs.reserve(n);
+    for_each_cell([&](int ix, int iy, std::size_t i, std::size_t slot) {
+        double d = g_v_ + extra_diag[i];
+        if (ix > 0) d += g_lat_x_;
+        if (ix < nx_ - 1) d += g_lat_x_;
+        if (iy > 0) d += g_lat_y_;
+        if (iy < ny_ - 1) d += g_lat_y_;
+        diag.push_back(d);
+        rhs.push_back(source[i] + g_v_ * params_.ambient_c);
+        t[slot] = initial[i];
+    });
+
+    // One sweep relaxes the anti-diagonals in order, two cells at a
+    // time. A cell's left and lower neighbours lie on diagonal d - 1,
+    // already relaxed this sweep; its right and upper ones on d + 1, not
+    // yet. So every cell sees exactly the values of the row-by-row
+    // lexicographic sweep, and the cells of one diagonal are
+    // independent. An absent neighbour adds g * 0.0 = +0.0 to a sum
+    // that started at +0.0 and so is never -0.0: the sum is unchanged.
+    // The max is order-free: the lanes never hold NaN.
+    for (int iter = 0; iter < opt.max_iters; ++iter) {
+        Lanes max_pair{};
+        double max_update = 0.0;
+        std::size_t k = 0;
+        for (int d = 0; d < diagonals; ++d) {
+            const int last = hi(d);
+            int u = lo(d);
+            double* c = t.data() + (d + 1) * stride + 1 + u;
+            for (; u < last; u += 2, c += 2, k += 2) {
+                relax(c, rhs.data() + k, diag.data() + k, stencil, max_pair);
+            }
+            if (u == last) {
+                relax(c, rhs.data() + k, diag.data() + k, stencil, max_update);
+                ++k;
+            }
+        }
+        max_update = std::max({max_update, max_pair[0], max_pair[1]});
+        if (max_update < opt.tolerance_c) {
+            std::vector<double> out(n);
+            for_each_cell([&](int, int, std::size_t i, std::size_t slot) {
+                out[i] = t[slot];
+            });
+            return out;
+        }
     }
     throw std::runtime_error("ThermalGrid: SOR did not converge");
 }

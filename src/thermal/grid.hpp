@@ -25,10 +25,11 @@ struct GridParams {
     double ambient_c = 45.0;  ///< Ambient / package reference temperature [deg C].
 };
 
-/// Iterative-solver controls.
+/// Iterative-solver controls; a solve throws std::invalid_argument on a
+/// value outside the stated range before it sweeps.
 struct SolveOptions {
-    int max_iters = 20000;
-    double tolerance_c = 1e-7; ///< Max per-cell update to declare convergence.
+    int max_iters = 20000;     ///< Sweep budget, >= 1.
+    double tolerance_c = 1e-7; ///< Max per-cell update to converge; finite, > 0.
     double sor_omega = 1.8;    ///< Over-relaxation factor in (0, 2).
 };
 
@@ -70,9 +71,9 @@ public:
     std::size_t cell_index(double x, double y) const;
 
 private:
-    /// Shared SOR kernel: solves (diag + G) T = rhs-form system. Rows are
-    /// swept as a skewed wavefront that reproduces the lexicographic
-    /// sweep bit for bit (see grid.cpp).
+    /// Shared SOR kernel: solves (diag + G) T = rhs-form system. Each
+    /// sweep relaxes the anti-diagonals in order, which reproduces the
+    /// lexicographic sweep bit for bit (see grid.cpp).
     std::vector<double> solve(std::span<const double> source,
                               std::span<const double> extra_diag,
                               std::span<const double> initial,

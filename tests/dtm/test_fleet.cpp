@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <utility>
 
 namespace stsense::dtm {
 namespace {
@@ -67,6 +69,53 @@ TEST(DtmFleetOptions, ValidateThrowsInvalidArgument) {
     sc.suspect_after = 3; // fault_after < suspect_after: malformed ladder
     EXPECT_THROW(ControlOptions().supervisor(sc).validate(),
                  std::invalid_argument);
+
+    // Non-finite values fail every check they reach.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::pair<const char*, ControlOptions> non_finite[] = {
+        {"duration nan", ControlOptions().duration(nan)},
+        {"duration inf", ControlOptions().duration(inf)},
+        {"sim_dt nan", ControlOptions().sim_dt(nan)},
+        {"tune_horizon inf", ControlOptions().tune_horizon(inf)},
+        {"tune_horizon nan", ControlOptions().tune_horizon(nan)},
+        {"tau_c nan", ControlOptions().tau_c(nan)},
+        {"tau_c inf", ControlOptions().tau_c(inf)},
+        {"throttle_floor nan", ControlOptions().throttle_floor(nan)},
+        {"tune_step nan", ControlOptions().tune_step(nan)},
+        {"settle_band nan", ControlOptions().settle_band(nan)},
+        {"settle_band inf", ControlOptions().settle_band(inf)},
+        {"adjacency_gap nan", ControlOptions().adjacency_gap(nan)},
+        {"adjacency_gap inf", ControlOptions().adjacency_gap(inf)},
+        {"neighbor_derate nan", ControlOptions().neighbor_derate(nan)},
+        {"target -inf", ControlOptions().target(-inf)},
+        {"trip inf", ControlOptions().trip(inf)},
+    };
+    for (const auto& [what, options] : non_finite) {
+        EXPECT_THROW(options.validate(), std::invalid_argument) << what;
+    }
+    SupervisorConfig nan_detector;
+    nan_detector.excursion_c = nan;
+    EXPECT_THROW(ControlOptions().supervisor(nan_detector).validate(),
+                 std::invalid_argument);
+    nan_detector = SupervisorConfig{};
+    nan_detector.stuck_tol = inf;
+    EXPECT_THROW(ControlOptions().supervisor(nan_detector).validate(),
+                 std::invalid_argument);
+    nan_detector = SupervisorConfig{};
+    nan_detector.trust_floor = nan;
+    EXPECT_THROW(ControlOptions().supervisor(nan_detector).validate(),
+                 std::invalid_argument);
+
+    // Step counts that do not fit an int: duration / control_dt,
+    // control_dt / sim_dt and tune_horizon / sim_dt.
+    EXPECT_THROW(ControlOptions().duration(1e12).validate(),
+                 std::invalid_argument);
+    EXPECT_THROW(ControlOptions().control_dt(1e3).sim_dt(1e-7).validate(),
+                 std::invalid_argument);
+    EXPECT_THROW(ControlOptions().tune_horizon(1e9).validate(),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(ControlOptions().duration(1e6).tune_horizon(1e6).validate());
 }
 
 TEST(DtmFleetOptions, FluentChainsKeepValues) {

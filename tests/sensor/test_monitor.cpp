@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <limits>
+#include <thread>
+#include <vector>
 
 namespace stsense::sensor {
 namespace {
@@ -217,6 +221,63 @@ TEST(ThermalMonitor, CalibrationAbsorbsConsistentSelfHeating) {
     const auto map =
         ThermalMonitor(phys::cmos350(), sensor_ring(), fp, sites, heated).scan();
     EXPECT_LT(map.max_abs_error_c, 1.0);
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Field, codes and readings of two scans agree bit for bit.
+void expect_same_scan(const MapResult& got, const MapResult& want) {
+    EXPECT_TRUE(bitwise_equal(got.true_map_c, want.true_map_c));
+    ASSERT_EQ(got.sites.size(), want.sites.size());
+    for (std::size_t i = 0; i < got.sites.size(); ++i) {
+        EXPECT_EQ(got.sites[i].code, want.sites[i].code) << i;
+        EXPECT_TRUE(bitwise_equal({got.sites[i].true_c, got.sites[i].measured_c},
+                                  {want.sites[i].true_c, want.sites[i].measured_c}))
+            << i;
+    }
+    EXPECT_EQ(got.scan_time_s, want.scan_time_s);
+}
+
+TEST(ThermalMonitor, RepeatedScansReadTheSameSteadyFieldBitForBit) {
+    const auto fp = thermal::demo_floorplan();
+    const ThermalMonitor mon(phys::cmos350(), sensor_ring(), fp,
+                             uniform_sites(fp, 3, 3), fast_config());
+    const auto want = mon.scan_field(mon.grid().steady_state(
+        mon.floorplan().power_map(mon.config().grid_nx, mon.config().grid_ny)));
+    for (int i = 0; i < 3; ++i) {
+        SCOPED_TRACE(i);
+        expect_same_scan(mon.scan(), want);
+    }
+}
+
+TEST(ThermalMonitor, RacingFirstScansAllGetTheSameBits) {
+    const auto fp = thermal::demo_floorplan();
+    const ThermalMonitor mon(phys::cmos350(), sensor_ring(), fp,
+                             uniform_sites(fp, 3, 3), fast_config());
+    constexpr int kThreads = 4;
+    std::vector<MapResult> maps(kThreads);
+    std::atomic<int> ready{0};
+    {
+        std::vector<std::jthread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                // Release every thread at once onto the unsolved field.
+                ready.fetch_add(1);
+                while (ready.load() < kThreads) std::this_thread::yield();
+                maps[static_cast<std::size_t>(t)] = mon.scan();
+            });
+        }
+    }
+    const ThermalMonitor fresh(phys::cmos350(), sensor_ring(), fp,
+                               uniform_sites(fp, 3, 3), fast_config());
+    const auto want = fresh.scan();
+    for (int t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE(t);
+        expect_same_scan(maps[static_cast<std::size_t>(t)], want);
+    }
 }
 
 } // namespace

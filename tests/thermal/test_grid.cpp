@@ -215,6 +215,30 @@ TEST(SolveOptions, BadOmegaThrows) {
     SolveOptions opt;
     opt.sor_omega = 2.5;
     EXPECT_THROW(grid.steady_state(p, opt), std::invalid_argument);
+
+    // The tolerance and the sweep budget are checked before any sweep:
+    // an infinite tolerance would "converge" after one sweep, and the
+    // rest would run the whole budget and report non-convergence.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double tol : {inf, -inf, nan, 0.0, -0.0, -1e-7}) {
+        SolveOptions bad;
+        bad.tolerance_c = tol;
+        EXPECT_THROW(grid.steady_state(p, bad), std::invalid_argument) << tol;
+        std::vector<double> temps(16, 45.0);
+        EXPECT_THROW(grid.transient_step(temps, p, 1e-3, bad),
+                     std::invalid_argument)
+            << tol;
+    }
+    for (const int iters : {0, -1, std::numeric_limits<int>::min()}) {
+        SolveOptions bad;
+        bad.max_iters = iters;
+        EXPECT_THROW(grid.steady_state(p, bad), std::invalid_argument) << iters;
+    }
+    SolveOptions one_sweep;
+    one_sweep.max_iters = 1;
+    one_sweep.tolerance_c = std::numeric_limits<double>::max();
+    EXPECT_NO_THROW(grid.steady_state(p, one_sweep));
 }
 
 } // namespace

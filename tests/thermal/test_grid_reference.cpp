@@ -1,8 +1,8 @@
-// ThermalGridReference — ThermalGrid's wavefront SOR against the plain
-// lexicographic SOR kept here as the oracle: the row-by-row sweep the
-// solver used before it relaxed rows as a skewed wavefront. Results must
-// agree bit for bit, with the same sweep count: with max_iters set to
-// the oracle's count both converge, and one sweep fewer both throw.
+// ThermalGridReference — ThermalGrid's anti-diagonal SOR against the
+// plain lexicographic SOR kept here as the oracle: the row-by-row sweep
+// the solver's result is defined by. Results must agree bit for bit,
+// with the same sweep count: with max_iters set to the oracle's count
+// both converge, and one sweep fewer both throw.
 #include "thermal/grid.hpp"
 
 #include <gtest/gtest.h>
@@ -119,8 +119,13 @@ struct Shape {
     int ny;
 };
 
-const Shape kShapes[] = {{1, 1}, {1, 7}, {7, 1}, {2, 2}, {5, 3}, {24, 24}, {48, 48},
-                         {11, 19}};
+/// Square, wide and tall grids. The kernel stores the field by
+/// anti-diagonal along the shorter side and relaxes two cells at a time:
+/// these reach single-cell and two-cell diagonals, long thin grids (on
+/// either orientation) and diagonals of odd and even length.
+const Shape kShapes[] = {{1, 1},  {1, 7},  {7, 1},  {2, 2},   {5, 3},   {24, 24},
+                         {48, 48}, {11, 19}, {64, 3}, {3, 64}, {2, 33}, {33, 2},
+                         {6, 9},  {9, 6},  {7, 10}, {10, 7}};
 
 std::string name(const Shape& s) {
     return std::to_string(s.nx) + "x" + std::to_string(s.ny);
@@ -184,6 +189,48 @@ TEST(ThermalGridReference, TransientStepsMatchBitForBit) {
             EXPECT_THROW(grid.transient_step(got, power, 5e-3, opt),
                          std::runtime_error)
                 << name(s) << ", step " << step << ", max_iters " << sweeps - 1;
+            field = want;
+        }
+    }
+}
+
+/// A field that crosses 0 degC, reached from a start field of exact
+/// +0.0 and -0.0 cells: every neighbour product and sum meets signed
+/// zeros, which the kernel's zero-padded die edges must not disturb.
+TEST(ThermalGridReference, FieldCrossingZeroMatchesBitForBit) {
+    for (const auto& s : kShapes) {
+        GridParams params;
+        params.ambient_c = -20.0;
+        const ThermalGrid grid(s.nx, s.ny, 10e-3, 7e-3, params);
+        const LexicographicSor ref(s.nx, s.ny, 10e-3, 7e-3, params);
+        // Power in the hot corner block only: it rises well above 0 degC
+        // while the unpowered rest of the die stays below.
+        std::vector<double> power(static_cast<std::size_t>(s.nx) * s.ny, 0.0);
+        for (int iy = s.ny / 2; iy < s.ny; ++iy) {
+            for (int ix = 0; ix < (s.nx + 2) / 3; ++ix) {
+                power[static_cast<std::size_t>(iy) * s.nx + ix] =
+                    24.0 / (s.nx * s.ny);
+            }
+        }
+
+        SolveOptions opt;
+        int sweeps = 0;
+        const auto steady = ref.steady(power, opt, sweeps);
+        EXPECT_TRUE(bitwise_equal(grid.steady_state(power, opt), steady)) << name(s);
+        if (s.nx * s.ny > 1) {
+            EXPECT_LT(*std::min_element(steady.begin(), steady.end()), 0.0) << name(s);
+            EXPECT_GT(*std::max_element(steady.begin(), steady.end()), 0.0) << name(s);
+        }
+
+        std::vector<double> field(power.size());
+        for (std::size_t i = 0; i < field.size(); ++i) {
+            field[i] = i % 3 == 0 ? -0.0 : 0.0;
+        }
+        for (int step = 0; step < 3; ++step) {
+            const auto want = ref.transient(field, power, 2e-3, opt, sweeps);
+            auto got = field;
+            grid.transient_step(got, power, 2e-3, opt);
+            ASSERT_TRUE(bitwise_equal(got, want)) << name(s) << ", step " << step;
             field = want;
         }
     }
