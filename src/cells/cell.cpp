@@ -1,5 +1,6 @@
 #include "cells/cell.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -64,9 +65,14 @@ std::string describe(const CellSpec& spec) {
 }
 
 void validate(const CellSpec& spec) {
-    if (spec.drive <= 0.0) throw std::invalid_argument("CellSpec: drive must be > 0");
-    if (spec.ratio < 0.0) throw std::invalid_argument("CellSpec: ratio must be >= 0");
-    if (spec.vth_shift_v < -0.2 || spec.vth_shift_v > 0.2) {
+    // Written to fail on NaN: a delay model binds these once.
+    if (!(std::isfinite(spec.drive) && spec.drive > 0.0)) {
+        throw std::invalid_argument("CellSpec: drive must be finite and > 0");
+    }
+    if (!(std::isfinite(spec.ratio) && spec.ratio >= 0.0)) {
+        throw std::invalid_argument("CellSpec: ratio must be finite and >= 0");
+    }
+    if (!(spec.vth_shift_v >= -0.2 && spec.vth_shift_v <= 0.2)) {
         throw std::invalid_argument("CellSpec: |vth_shift_v| above 200 mV is not mismatch");
     }
     // Exhaustiveness check on the kind.

@@ -72,7 +72,8 @@ struct CellSpec {
 /// Short printable form, e.g. "NAND2 x1 r=2.00".
 std::string describe(const CellSpec& spec);
 
-/// Validates a spec; throws std::invalid_argument on violation.
+/// Validates a spec (drive finite and > 0, ratio finite and >= 0,
+/// |vth_shift_v| <= 0.2 V); throws std::invalid_argument on violation.
 void validate(const CellSpec& spec);
 
 } // namespace stsense::cells

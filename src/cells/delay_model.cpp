@@ -2,6 +2,7 @@
 
 #include "phys/mosfet.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace stsense::cells {
@@ -67,43 +68,13 @@ double DelayModel::output_capacitance(const CellSpec& spec) const {
 }
 
 double DelayModel::pulldown_current(const CellSpec& spec, double temp_k) const {
-    return pulldown(spec, temp_k, phys::mobility_factor(tech_.nmos, temp_k));
+    return bind(spec, 0.0).down_.current(
+        tech_.vdd, temp_k, phys::mobility_factor(tech_.nmos, temp_k));
 }
 
 double DelayModel::pullup_current(const CellSpec& spec, double temp_k) const {
-    return pullup(spec, temp_k, phys::mobility_factor(tech_.pmos, temp_k));
-}
-
-// The per-cell Vth shift leaves mobility alone, so the technology
-// card's factor is the shifted card's too.
-double DelayModel::pulldown(const CellSpec& spec, double temp_k,
-                            double mu_n) const {
-    const CellSizes s = sizes(spec);
-    const phys::MosGeometry gn{s.wn, tech_.lmin};
-    phys::MosfetParams nmos = tech_.nmos;
-    nmos.vth0 += spec.vth_shift_v;
-    const double unit =
-        phys::saturation_current(nmos, gn, tech_.vdd, temp_k, mu_n);
-    const double stack = nmos_stack_depth(spec.kind);
-    const double par = spec.tie == SideInputTie::Bridge
-                           ? nmos_parallel_count(spec.kind)
-                           : 1;
-    return unit * par / stack;
-}
-
-double DelayModel::pullup(const CellSpec& spec, double temp_k,
-                          double mu_p) const {
-    const CellSizes s = sizes(spec);
-    const phys::MosGeometry gp{s.wp, tech_.lmin};
-    phys::MosfetParams pmos = tech_.pmos;
-    pmos.vth0 += spec.vth_shift_v;
-    const double unit =
-        phys::saturation_current(pmos, gp, tech_.vdd, temp_k, mu_p);
-    const double stack = pmos_stack_depth(spec.kind);
-    const double par = spec.tie == SideInputTie::Bridge
-                           ? pmos_parallel_count(spec.kind)
-                           : 1;
-    return unit * par / stack;
+    return bind(spec, 0.0).up_.current(
+        tech_.vdd, temp_k, phys::mobility_factor(tech_.pmos, temp_k));
 }
 
 Mobility DelayModel::mobility(double temp_k) const {
@@ -111,20 +82,50 @@ Mobility DelayModel::mobility(double temp_k) const {
             phys::mobility_factor(tech_.pmos, temp_k)};
 }
 
-CellDelays DelayModel::delays(const CellSpec& spec, double load_farads,
-                              double temp_k) const {
-    return delays(spec, load_farads, temp_k, mobility(temp_k));
+// The per-cell Vth shift leaves mobility alone, so the technology
+// card's mobility factor is the shifted card's too.
+BoundStage DelayModel::bind(const CellSpec& spec, double load_farads) const {
+    if (!(std::isfinite(load_farads) && load_farads >= 0.0)) {
+        throw std::invalid_argument(
+            "DelayModel::bind: load must be finite and >= 0");
+    }
+    const CellSizes s = sizes(spec);
+    const bool bridge = spec.tie == SideInputTie::Bridge;
+    auto network = [&](const phys::MosfetParams& card, double w, int par,
+                       int stack) {
+        BoundStage::Network n;
+        n.device = phys::bind_device(card, {w, tech_.lmin});
+        n.device.vth0 += spec.vth_shift_v;
+        n.par = bridge ? par : 1;
+        n.stack = stack;
+        return n;
+    };
+    BoundStage b;
+    b.down_ = network(tech_.nmos, s.wn, nmos_parallel_count(spec.kind),
+                      nmos_stack_depth(spec.kind));
+    b.up_ = network(tech_.pmos, s.wp, pmos_parallel_count(spec.kind),
+                    pmos_stack_depth(spec.kind));
+    b.vdd_ = tech_.vdd;
+    b.charge_ = kDelayFactor * (load_farads + output_capacitance(spec)) *
+                tech_.vdd;
+    b.load_ = load_farads;
+    return b;
 }
 
 CellDelays DelayModel::delays(const CellSpec& spec, double load_farads,
-                              double temp_k, const Mobility& mu) const {
-    if (load_farads < 0.0) {
-        throw std::invalid_argument("DelayModel::delays: negative load");
-    }
-    const double cl = load_farads + output_capacitance(spec);
+                              double temp_k) const {
+    return bind(spec, load_farads).delays(temp_k, mobility(temp_k));
+}
+
+double BoundStage::Network::current(double vdd, double temp_k,
+                                    double mu) const {
+    return phys::saturation_current(device, vdd, temp_k, mu) * par / stack;
+}
+
+CellDelays BoundStage::delays(double temp_k, const Mobility& mu) const {
     CellDelays d;
-    d.tphl = kDelayFactor * cl * tech_.vdd / pulldown(spec, temp_k, mu.nmos);
-    d.tplh = kDelayFactor * cl * tech_.vdd / pullup(spec, temp_k, mu.pmos);
+    d.tphl = charge_ / down_.current(vdd_, temp_k, mu.nmos);
+    d.tplh = charge_ / up_.current(vdd_, temp_k, mu.pmos);
     return d;
 }
 

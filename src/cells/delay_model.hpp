@@ -13,6 +13,18 @@
 // the paper tunes via Wp/Wn ratio (Fig. 2) and cell mix (Fig. 3) at a
 // fraction of the cost of transistor-level simulation. The SPICE
 // cross-check bench quantifies the agreement.
+//
+// The delay is evaluated in two parts. DelayModel::bind forms, once per
+// cell instance and load, everything that does not depend on
+// temperature: C_L, the charge (K * C_L) * Vdd and, per switching
+// network, the shifted threshold, kp * (W/L), the parallel count and
+// the stack depth; the spec, load and geometry checks run there too.
+// BoundStage::delays then evaluates per temperature only the
+// threshold, the overdrive's softplus blend, one pow per network and
+// the divides, with the products associated as the one-shot formula
+// forms them, so a bound delay is bitwise the unbound one.
+// DelayModel::delays(spec, load, T) is bind(spec, load).delays(...):
+// there is one expression for t_p.
 #pragma once
 
 #include "cells/cell.hpp"
@@ -41,6 +53,40 @@ struct Mobility {
     double pmos = 1.0;
 };
 
+/// One cell instance bound to its load and to a DelayModel's technology
+/// (DelayModel::bind): every temperature-independent constant of its
+/// delays, formed once.
+class BoundStage {
+public:
+    /// Propagation delays at `temp_k`. `mu` must be the binding model's
+    /// mobility(temp_k): mobility depends only on the device card and the
+    /// temperature, so a ring forms it once per period, not per stage.
+    /// Throws std::invalid_argument for temp_k <= 0.
+    CellDelays delays(double temp_k, const Mobility& mu) const;
+
+    /// The external load this instance was bound to [F].
+    double load() const { return load_; }
+
+private:
+    friend class DelayModel;
+
+    /// One switching network (pull-down or pull-up).
+    struct Network {
+        phys::BoundDevice device; ///< One device, vth0 shifted by the spec.
+        double par = 1.0;         ///< Parallel switching devices.
+        double stack = 1.0;       ///< Series stack depth.
+
+        /// Effective saturation current at temp_k [A].
+        double current(double vdd, double temp_k, double mu) const;
+    };
+
+    Network down_;
+    Network up_;
+    double vdd_ = 0.0;
+    double charge_ = 0.0; ///< (K * C_L) * Vdd [C].
+    double load_ = 0.0;
+};
+
 /// Analytic delay/capacitance model bound to one technology.
 class DelayModel {
 public:
@@ -65,24 +111,20 @@ public:
     /// The technology's mobility factors at temp_k.
     Mobility mobility(double temp_k) const;
 
-    /// Propagation delays driving `load_farads` at `temp_k`.
+    /// The instance `spec` driving `load_farads`, bound for evaluation at
+    /// any temperature. Validates the spec and the load (finite, >= 0);
+    /// throws std::invalid_argument.
+    BoundStage bind(const CellSpec& spec, double load_farads) const;
+
+    /// Propagation delays driving `load_farads` at `temp_k`:
+    /// bind(spec, load_farads).delays(temp_k, mobility(temp_k)).
     CellDelays delays(const CellSpec& spec, double load_farads,
                       double temp_k) const;
-
-    /// Same, with the mobility factors supplied by the caller: `mu` must
-    /// be mobility(temp_k). Mobility depends only on the device card and
-    /// the temperature, so a ring forms it once per period rather than
-    /// once per stage. The three-argument form forwards here, so the two
-    /// are bitwise equal.
-    CellDelays delays(const CellSpec& spec, double load_farads, double temp_k,
-                      const Mobility& mu) const;
 
     const phys::Technology& technology() const { return tech_; }
 
 private:
     double resolved_ratio(const CellSpec& spec) const;
-    double pulldown(const CellSpec& spec, double temp_k, double mu_n) const;
-    double pullup(const CellSpec& spec, double temp_k, double mu_p) const;
 
     phys::Technology tech_;
 };

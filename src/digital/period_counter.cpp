@@ -5,13 +5,20 @@
 
 namespace stsense::digital {
 
+namespace {
+
+/// A usable oscillation period: finite and > 0 (false for NaN).
+bool is_period(double s) { return std::isfinite(s) && s > 0.0; }
+
+} // namespace
+
 double divider_ratio(const GateConfig& cfg) {
     return static_cast<double>(std::uint64_t{1} << cfg.divider_log2);
 }
 
 void validate(const GateConfig& cfg) {
-    if (cfg.ref_freq_hz <= 0.0) {
-        throw std::invalid_argument("GateConfig: ref_freq_hz must be > 0");
+    if (!(std::isfinite(cfg.ref_freq_hz) && cfg.ref_freq_hz > 0.0)) {
+        throw std::invalid_argument("GateConfig: ref_freq_hz must be finite and > 0");
     }
     if (cfg.divider_log2 < 0 || cfg.divider_log2 > 16) {
         throw std::invalid_argument("GateConfig: divider_log2 out of [0, 16]");
@@ -26,8 +33,8 @@ void validate(const GateConfig& cfg) {
 
 double ideal_code(const GateConfig& cfg, double osc_period_s) {
     validate(cfg);
-    if (osc_period_s <= 0.0) {
-        throw std::invalid_argument("ideal_code: period must be > 0");
+    if (!is_period(osc_period_s)) {
+        throw std::invalid_argument("ideal_code: period must be finite and > 0");
     }
     const double t_ref = 1.0 / cfg.ref_freq_hz;
     const double divided_period = osc_period_s * divider_ratio(cfg);
@@ -42,7 +49,7 @@ double ideal_code(const GateConfig& cfg, double osc_period_s) {
 
 std::uint32_t quantized_code(const GateConfig& cfg, double osc_period_s,
                              double phase01) {
-    if (phase01 < 0.0 || phase01 >= 1.0) {
+    if (!(phase01 >= 0.0 && phase01 < 1.0)) {
         throw std::invalid_argument("quantized_code: phase01 out of [0, 1)");
     }
     const double ideal = ideal_code(cfg, osc_period_s);
@@ -55,8 +62,9 @@ std::uint32_t quantized_code(const GateConfig& cfg, double osc_period_s,
 
 double measurement_time(const GateConfig& cfg, double osc_period_s) {
     validate(cfg);
-    if (osc_period_s <= 0.0) {
-        throw std::invalid_argument("measurement_time: period must be > 0");
+    if (!is_period(osc_period_s)) {
+        throw std::invalid_argument(
+            "measurement_time: period must be finite and > 0");
     }
     switch (cfg.scheme) {
         case GatingScheme::RefWindow:

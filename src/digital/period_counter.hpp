@@ -41,16 +41,20 @@ struct GateConfig {
 /// Division factor 2^divider_log2 implied by the config.
 double divider_ratio(const GateConfig& cfg);
 
-/// Validates a gate config; throws std::invalid_argument on violation.
+/// Validates a gate config (ref_freq_hz finite and > 0, ...); throws
+/// std::invalid_argument on violation.
 void validate(const GateConfig& cfg);
 
-/// Ideal (real-valued) code before quantization.
+/// Ideal (real-valued) code before quantization. Throws
+/// std::invalid_argument unless the period is finite and > 0.
 double ideal_code(const GateConfig& cfg, double osc_period_s);
 
 /// Quantized code for a given oscillator period. `phase01` in [0, 1) is
 /// the fractional phase offset between the gate opening and the first
 /// counted edge; 0 gives the floor code, values near 1 can bump it by
-/// one count (the +/-1 gating uncertainty).
+/// one count (the +/-1 gating uncertainty). A non-finite period or
+/// phase throws std::invalid_argument; a code past the counter's range
+/// throws std::overflow_error.
 std::uint32_t quantized_code(const GateConfig& cfg, double osc_period_s,
                              double phase01 = 0.0);
 

@@ -1,6 +1,8 @@
 #include "dtm/closed_loop.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace stsense::dtm {
@@ -27,13 +29,22 @@ ClosedLoopSim::ClosedLoopSim(const phys::Technology& tech,
             floorplan_.die_height(), config_.grid_params),
       sensor_(tech_, ring_config_, config_.sensor_options) {
     validate(config_.policy);
-    if (config_.t_end_s <= 0.0 || config_.dt_s <= 0.0 ||
-        config_.sample_interval_s <= 0.0) {
-        throw std::invalid_argument("ClosedLoopConfig: times must be > 0");
+    // Every check fails on NaN. run() casts t_end_s / dt_s to a step
+    // count, so that ratio must fit a long.
+    auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+    if (!positive(config_.t_end_s) || !positive(config_.dt_s) ||
+        !positive(config_.sample_interval_s)) {
+        throw std::invalid_argument(
+            "ClosedLoopConfig: times must be finite and > 0");
+    }
+    if (!(config_.t_end_s / config_.dt_s <
+          static_cast<double>(std::numeric_limits<long>::max()))) {
+        throw std::invalid_argument(
+            "ClosedLoopConfig: t_end_s / dt_s steps do not fit a long");
     }
     const auto& site = config_.sensor_site;
-    if (site.x < 0.0 || site.x > floorplan_.die_width() || site.y < 0.0 ||
-        site.y > floorplan_.die_height()) {
+    if (!(site.x >= 0.0 && site.x <= floorplan_.die_width() &&
+          site.y >= 0.0 && site.y <= floorplan_.die_height())) {
         throw std::invalid_argument("ClosedLoopConfig: sensor site off die");
     }
 

@@ -65,7 +65,9 @@ struct ClosedLoopResult {
 
 class ClosedLoopSim {
 public:
-    /// Validates everything up front (site on die, calibratable sensor).
+    /// Validates everything up front (times finite and > 0 with a step
+    /// count that fits a long, site on die, calibratable sensor); throws
+    /// std::invalid_argument.
     ClosedLoopSim(const phys::Technology& tech, ring::RingConfig ring_config,
                   thermal::Floorplan floorplan, ClosedLoopConfig config);
 

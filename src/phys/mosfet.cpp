@@ -22,16 +22,28 @@ using Softplus = SoftplusEval;
 
 Softplus softplus(double x, double s) { return softplus_blend(x, s); }
 
-void check_inputs(const MosfetParams& p, const MosGeometry& g, double temp_k) {
+void check_temperature(double temp_k) {
     if (temp_k <= 0.0) throw std::invalid_argument("mosfet: temperature must be > 0 K");
+}
+
+void check_device(const MosfetParams& p, const MosGeometry& g) {
     if (g.w <= 0.0 || g.l <= 0.0) throw std::invalid_argument("mosfet: W and L must be > 0");
     if (p.alpha < 1.0 || p.alpha > 2.0) throw std::invalid_argument("mosfet: alpha out of [1,2]");
+}
+
+void check_inputs(const MosfetParams& p, const MosGeometry& g, double temp_k) {
+    check_temperature(temp_k);
+    check_device(p, g);
+}
+
+double threshold(double vth0, double vth_tc, double t0, double temp_k) {
+    return vth0 - vth_tc * (temp_k - t0);
 }
 
 } // namespace
 
 double threshold_voltage(const MosfetParams& p, double temp_k) {
-    return p.vth0 - p.vth_tc * (temp_k - p.t0);
+    return threshold(p.vth0, p.vth_tc, p.t0, temp_k);
 }
 
 double mobility_factor(const MosfetParams& p, double temp_k) {
@@ -45,10 +57,20 @@ double saturation_current(const MosfetParams& p, const MosGeometry& g,
 
 double saturation_current(const MosfetParams& p, const MosGeometry& g,
                           double vgs, double temp_k, double mu) {
-    check_inputs(p, g, temp_k);
-    const double vgst = vgs - threshold_voltage(p, temp_k);
-    const Softplus eff = softplus(vgst, p.smoothing);
-    return p.kp * (g.w / g.l) * mu * std::pow(eff.value, p.alpha);
+    return saturation_current(bind_device(p, g), vgs, temp_k, mu);
+}
+
+BoundDevice bind_device(const MosfetParams& p, const MosGeometry& g) {
+    check_device(p, g);
+    return {p.kp * (g.w / g.l), p.vth0, p.vth_tc, p.t0, p.smoothing, p.alpha};
+}
+
+double saturation_current(const BoundDevice& d, double vgs, double temp_k,
+                          double mu) {
+    check_temperature(temp_k);
+    const double vgst = vgs - threshold(d.vth0, d.vth_tc, d.t0, temp_k);
+    const Softplus eff = softplus(vgst, d.smoothing);
+    return d.kw * mu * std::pow(eff.value, d.alpha);
 }
 
 double saturation_voltage(const MosfetParams& p, double vgs, double temp_k) {

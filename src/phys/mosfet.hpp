@@ -89,10 +89,33 @@ double saturation_current(const MosfetParams& p, const MosGeometry& g,
 /// Same, with the mobility factor supplied by the caller: `mu` must be
 /// mobility_factor(p, temp_k). It depends only on the device card and
 /// the temperature, so a caller evaluating many instances of one card at
-/// one temperature forms it once. The four-argument form forwards here,
-/// so the two are bitwise equal.
+/// one temperature forms it once.
 double saturation_current(const MosfetParams& p, const MosGeometry& g,
                           double vgs, double temp_k, double mu);
+
+/// One device instance's saturation-current constants: everything the
+/// I-V law needs that does not depend on temperature, with kp * (W/L)
+/// folded into one current factor. Built by bind_device().
+struct BoundDevice {
+    double kw = 0.0;         ///< kp * (W/L) [A / V^alpha].
+    double vth0 = 0.0;       ///< Threshold voltage magnitude at t0 [V].
+    double vth_tc = 0.0;     ///< kappa [V/K].
+    double t0 = 300.0;       ///< Reference temperature [K].
+    double smoothing = 0.03; ///< Softplus width [V].
+    double alpha = 1.3;      ///< Velocity-saturation index.
+};
+
+/// Binds card `p` to geometry `g`. Throws std::invalid_argument unless
+/// W and L are > 0 and alpha is in [1, 2]: the checks the geometry forms
+/// of saturation_current() run on every call.
+BoundDevice bind_device(const MosfetParams& p, const MosGeometry& g);
+
+/// Saturation current of a bound device; `mu` must be
+/// mobility_factor(p, temp_k) of its card. The I-V law is written here
+/// once: both geometry forms forward to it, so all three are bitwise
+/// equal. Checks only the temperature.
+double saturation_current(const BoundDevice& d, double vgs, double temp_k,
+                          double mu);
 
 /// Saturation voltage Vdsat for the given gate overdrive (magnitude).
 double saturation_voltage(const MosfetParams& p, double vgs, double temp_k);

@@ -1,5 +1,6 @@
 #include "phys/technology.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace stsense::phys {
@@ -100,18 +101,36 @@ void validate(const Technology& tech) {
     auto fail = [&](const std::string& what) {
         throw std::invalid_argument("technology '" + tech.name + "': " + what);
     };
-    if (tech.vdd <= 0.0) fail("vdd must be > 0");
-    if (tech.lmin <= 0.0 || tech.wmin <= 0.0) fail("geometry must be > 0");
-    if (tech.unit_nmos_width < tech.wmin) fail("unit_nmos_width below wmin");
-    if (tech.library_ratio <= 0.0) fail("library_ratio must be > 0");
-    if (tech.wire_cap_per_stage < 0.0) fail("wire_cap_per_stage must be >= 0");
+    // Every check is written to fail on NaN, and every field must be
+    // finite: a delay model binds these constants once and evaluates
+    // them at every temperature without looking again.
+    auto finite = [](double v) { return std::isfinite(v); };
+    auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+    if (!positive(tech.vdd)) fail("vdd must be finite and > 0");
+    if (!positive(tech.lmin) || !positive(tech.wmin)) {
+        fail("geometry must be finite and > 0");
+    }
+    if (!(finite(tech.unit_nmos_width) && tech.unit_nmos_width >= tech.wmin)) {
+        fail("unit_nmos_width must be finite and >= wmin");
+    }
+    if (!positive(tech.library_ratio)) fail("library_ratio must be finite and > 0");
+    if (!(finite(tech.wire_cap_per_stage) && tech.wire_cap_per_stage >= 0.0)) {
+        fail("wire_cap_per_stage must be finite and >= 0");
+    }
     for (const MosfetParams* p : {&tech.nmos, &tech.pmos}) {
-        if (p->vth0 <= 0.0 || p->vth0 >= tech.vdd) fail("vth0 out of (0, vdd)");
-        if (p->alpha < 1.0 || p->alpha > 2.0) fail("alpha out of [1, 2]");
-        if (p->kp <= 0.0) fail("kp must be > 0");
-        if (p->t0 <= 0.0) fail("t0 must be > 0");
-        if (p->smoothing <= 0.0) fail("smoothing must be > 0");
-        if (p->cgate_per_w <= 0.0 || p->cdrain_per_w < 0.0) fail("capacitances invalid");
+        if (!(p->vth0 > 0.0 && p->vth0 < tech.vdd)) fail("vth0 out of (0, vdd)");
+        if (!(p->alpha >= 1.0 && p->alpha <= 2.0)) fail("alpha out of [1, 2]");
+        if (!positive(p->kp)) fail("kp must be finite and > 0");
+        if (!finite(p->mobility_exp)) fail("mobility_exp must be finite");
+        if (!finite(p->vth_tc)) fail("vth_tc must be finite");
+        if (!finite(p->lambda)) fail("lambda must be finite");
+        if (!finite(p->vdsat_coeff)) fail("vdsat_coeff must be finite");
+        if (!positive(p->t0)) fail("t0 must be finite and > 0");
+        if (!positive(p->smoothing)) fail("smoothing must be finite and > 0");
+        if (!positive(p->cgate_per_w) ||
+            !(finite(p->cdrain_per_w) && p->cdrain_per_w >= 0.0)) {
+            fail("capacitances invalid");
+        }
     }
     if (tech.nmos.type != MosType::Nmos) fail("nmos card has wrong type");
     if (tech.pmos.type != MosType::Pmos) fail("pmos card has wrong type");

@@ -47,8 +47,9 @@ Technology cmos130();
 /// throws std::invalid_argument for unknown names.
 Technology technology_by_name(const std::string& name);
 
-/// Validates invariants (positive voltages/geometry, model sanity);
-/// throws std::invalid_argument with a descriptive message on violation.
+/// Validates invariants (every field finite, positive voltages/geometry,
+/// model sanity); throws std::invalid_argument with a descriptive message
+/// on violation.
 void validate(const Technology& tech);
 
 } // namespace stsense::phys

@@ -113,10 +113,11 @@ void add_ring(exec::Fingerprint& fp, const ring::RingConfig& config) {
 }
 
 /// Per-die period source: the analytic model always (it is also the
-/// spice fallback), plus the transient engine when requested. Periods
-/// are memoized by exact temperature: the calibration points and the
-/// 25 degC reference usually sit on the test grid, and a period is a
-/// pure function of (die, temperature).
+/// spice fallback), plus the transient engine when requested. The
+/// analytic ring binds its stages once, at construction. Periods are
+/// memoized by exact temperature: the calibration points and the 25 degC
+/// reference usually sit on the test grid, and a period is a pure
+/// function of (die, temperature).
 class DiePeriods {
 public:
     DiePeriods(const PopulationConfig& cfg, const phys::Technology& tech,
@@ -125,6 +126,9 @@ public:
         if (cfg.engine == PeriodEngine::Spice) {
             spice_.emplace(tech, ring_cfg);
         }
+        // Every temperature a die asks one ring for: the test grid plus
+        // at most the calibration points and the 25 degC reference.
+        memo_.reserve(cfg.test_temps_c.size() + 3);
     }
 
     double at_c(double temp_c) {
@@ -396,12 +400,13 @@ std::array<double, kMetricCount> DieEvaluator::evaluate(
     util::Rng cont;
     const phys::Technology tech_i = stream_.at(die, cont);
     const double rate = sample_aging_rate(config_.aging, cont);
-    ring::RingConfig ring_i = config_.ring;
+    std::optional<ring::RingConfig> mismatched;
     if (config_.mismatch.drive_sigma > 0.0 ||
         config_.mismatch.vth_sigma_v > 0.0) {
-        ring_i = ring::sample_stage_mismatch(config_.ring, config_.mismatch,
-                                             cont);
+        mismatched = ring::sample_stage_mismatch(config_.ring,
+                                                 config_.mismatch, cont);
     }
+    const ring::RingConfig& ring_i = mismatched ? *mismatched : config_.ring;
 
     DiePeriods fresh(config_, tech_i, ring_i);
     auto code_at = [&](DiePeriods& periods, double temp_c) {

@@ -5,28 +5,28 @@
 namespace stsense::ring {
 
 AnalyticRingModel::AnalyticRingModel(const phys::Technology& tech,
-                                     RingConfig config)
-    : model_(tech), config_(std::move(config)) {
-    validate(config_);
-    const std::size_t n = config_.stages.size();
-    loads_.resize(n);
+                                     const RingConfig& config)
+    : model_(tech) {
+    validate(config);
+    const std::size_t n = config.stages.size();
+    stages_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto& next = config_.stages[(i + 1) % n];
-        loads_[i] = model_.input_capacitance(next) + tech.wire_cap_per_stage;
+        const auto& next = config.stages[(i + 1) % n];
+        stages_.push_back(model_.bind(
+            config.stages[i],
+            model_.input_capacitance(next) + tech.wire_cap_per_stage));
     }
 }
 
 double AnalyticRingModel::period(double temp_k) const {
     // Mobility is a property of the device card and the temperature, not
     // of the stage: form (T/T0)^-m once per card and hand it to every
-    // stage. This halves the pow calls per stage, and since the stage
-    // delay forms the same product in the same order, the sum is bitwise
-    // the sum of DelayModel::delays(stage, load, temp_k).
+    // bound stage, which forms the rest of its delays in the order
+    // DelayModel::delays does.
     const cells::Mobility mu = model_.mobility(temp_k);
     double sum = 0.0;
-    for (std::size_t i = 0; i < config_.stages.size(); ++i) {
-        sum += model_.delays(config_.stages[i], loads_[i], temp_k, mu)
-                   .pair_delay();
+    for (const cells::BoundStage& stage : stages_) {
+        sum += stage.delays(temp_k, mu).pair_delay();
     }
     return sum;
 }
@@ -46,8 +46,8 @@ std::vector<double> AnalyticRingModel::periods(
 }
 
 double AnalyticRingModel::stage_load(std::size_t i) const {
-    if (i >= loads_.size()) throw std::out_of_range("stage_load: bad index");
-    return loads_[i];
+    if (i >= stages_.size()) throw std::out_of_range("stage_load: bad index");
+    return stages_[i].load();
 }
 
 double AnalyticRingModel::sensitivity(double temp_k, double dt_k) const {

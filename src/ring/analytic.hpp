@@ -17,12 +17,15 @@ namespace stsense::ring {
 
 class AnalyticRingModel {
 public:
-    /// Validates both arguments; copies them in.
-    AnalyticRingModel(const phys::Technology& tech, RingConfig config);
+    /// Validates both arguments and binds every stage to its load
+    /// (cells::DelayModel::bind); keeps no copy of `config`.
+    AnalyticRingModel(const phys::Technology& tech, const RingConfig& config);
 
     /// Oscillation period at junction temperature `temp_k` [s]. Forms
-    /// the mobility factors once per device card, not once per stage;
-    /// bitwise the plain sum of the stages' delays(stage, load, temp_k).
+    /// the mobility factors once per device card and sums the bound
+    /// stages' delays in ring order: bitwise the plain sum of the
+    /// stages' delays(stage, load, temp_k). Throws std::invalid_argument
+    /// for temp_k <= 0.
     double period(double temp_k) const;
 
     /// Oscillation frequency at `temp_k` [Hz].
@@ -38,13 +41,11 @@ public:
     /// central difference.
     double sensitivity(double temp_k, double dt_k = 1.0) const;
 
-    const RingConfig& config() const { return config_; }
     const cells::DelayModel& delay_model() const { return model_; }
 
 private:
     cells::DelayModel model_;
-    RingConfig config_;
-    std::vector<double> loads_; ///< Precomputed external load per stage.
+    std::vector<cells::BoundStage> stages_; ///< Ring order.
 };
 
 } // namespace stsense::ring

@@ -39,8 +39,11 @@ struct SelfHeatingResult {
 };
 
 /// Solves the self-consistent junction temperature of an enabled ring
-/// sitting on a die at `die_temp_c`. Throws std::runtime_error if the
-/// fixed point does not settle (it always does for physical parameters).
+/// sitting on a die at `die_temp_c`. Throws std::invalid_argument before
+/// the first iteration unless die_temp_c and r_local are finite,
+/// r_local >= 0, duty is in [0, 1], tolerance_k is finite and > 0 and
+/// max_iters >= 1; throws std::runtime_error if the fixed point does not
+/// settle (it always does for physical parameters).
 SelfHeatingResult solve_self_heating(const phys::Technology& tech,
                                      const ring::RingConfig& config,
                                      double die_temp_c,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace stsense::cells {
 namespace {
 
@@ -51,6 +54,22 @@ TEST(CellSpecValidate, RejectsBadValues) {
     spec.drive = 1.0;
     spec.ratio = -1.0;
     EXPECT_THROW(validate(spec), std::invalid_argument);
+}
+
+TEST(CellSpecValidate, RejectsNonFiniteValues) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double v : {nan, inf, -inf}) {
+        CellSpec spec;
+        spec.drive = v;
+        EXPECT_THROW(validate(spec), std::invalid_argument) << "drive " << v;
+        spec = CellSpec{};
+        spec.ratio = v;
+        EXPECT_THROW(validate(spec), std::invalid_argument) << "ratio " << v;
+        spec = CellSpec{};
+        spec.vth_shift_v = v;
+        EXPECT_THROW(validate(spec), std::invalid_argument) << "vth_shift_v " << v;
+    }
 }
 
 TEST(CellSpecDescribe, MentionsKindAndRatio) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace stsense::digital {
 namespace {
@@ -49,6 +51,41 @@ TEST(IdealCode, RefWindowInverseInPeriod) {
 
 TEST(IdealCode, NonPositivePeriodThrows) {
     EXPECT_THROW(ideal_code(osc_window(), 0.0), std::invalid_argument);
+}
+
+TEST(IdealCode, NonFinitePeriodThrows) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const GateConfig& g : {osc_window(), ref_window()}) {
+        for (double period : {nan, inf, -inf}) {
+            EXPECT_THROW(ideal_code(g, period), std::invalid_argument) << period;
+            EXPECT_THROW(quantized_code(g, period), std::invalid_argument) << period;
+            EXPECT_THROW(measurement_time(g, period), std::invalid_argument)
+                << period;
+        }
+    }
+    // The default gate, as a NaN period from a broken ring reaches it.
+    EXPECT_THROW(quantized_code(GateConfig{}, nan), std::invalid_argument);
+}
+
+TEST(GateConfig, NonFiniteReferenceFrequencyRejected) {
+    for (double f : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+        GateConfig g = osc_window();
+        g.ref_freq_hz = f;
+        EXPECT_THROW(validate(g), std::invalid_argument) << f;
+        EXPECT_THROW(quantized_code(g, 1e-9), std::invalid_argument) << f;
+    }
+}
+
+TEST(QuantizedCode, NanPhaseThrows) {
+    EXPECT_THROW(quantized_code(osc_window(), 1e-9,
+                                std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    EXPECT_THROW(quantized_code(osc_window(), 1e-9,
+                                std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
 }
 
 TEST(QuantizedCode, FloorsIdealCode) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace stsense::dtm {
 namespace {
@@ -127,6 +129,38 @@ TEST(ClosedLoop, ConfigValidation) {
     EXPECT_THROW(ClosedLoopSim(phys::cmos350(), sensor_ring(),
                                thermal::demo_floorplan(), cfg),
                  std::invalid_argument);
+}
+
+TEST(ClosedLoop, NonFiniteTimesAndSitesRejectedBeforeRunning) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto expect_rejected = [](const ClosedLoopConfig& cfg, const char* what) {
+        EXPECT_THROW(ClosedLoopSim(phys::cmos350(), sensor_ring(),
+                                   thermal::demo_floorplan(), cfg),
+                     std::invalid_argument)
+            << what;
+    };
+    ClosedLoopConfig cfg = fast_config();
+    cfg.sample_interval_s = nan; // Used to sample once, then never again.
+    expect_rejected(cfg, "sample_interval_s NaN");
+    cfg.sample_interval_s = inf;
+    expect_rejected(cfg, "sample_interval_s inf");
+    for (double t_end : {nan, inf}) {
+        cfg = fast_config();
+        cfg.t_end_s = t_end; // Used to cast a non-finite step count to long.
+        expect_rejected(cfg, "t_end_s");
+    }
+    cfg = fast_config();
+    cfg.dt_s = nan;
+    expect_rejected(cfg, "dt_s NaN");
+    cfg.dt_s = 1e-300; // t_end_s / dt_s does not fit a long.
+    expect_rejected(cfg, "dt_s 1e-300");
+    cfg = fast_config();
+    cfg.sensor_site.x = nan;
+    expect_rejected(cfg, "site.x NaN");
+    cfg = fast_config();
+    cfg.sensor_site.y = nan;
+    expect_rejected(cfg, "site.y NaN");
 }
 
 TEST(ClosedLoop, EmptyThrottleListThrottlesEverything) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 namespace stsense::phys {
 namespace {
 
@@ -65,6 +69,58 @@ TEST(TechnologyValidate, RejectsBadValues) {
     t = cmos350();
     t.nmos.type = MosType::Pmos; // Wrong card polarity.
     EXPECT_THROW(validate(t), std::invalid_argument);
+}
+
+TEST(TechnologyValidate, RejectsEveryNonFiniteField) {
+    using Field = std::pair<const char*, double Technology::*>;
+    using CardField = std::pair<const char*, double MosfetParams::*>;
+    const Field fields[] = {
+        {"vdd", &Technology::vdd},
+        {"lmin", &Technology::lmin},
+        {"wmin", &Technology::wmin},
+        {"unit_nmos_width", &Technology::unit_nmos_width},
+        {"library_ratio", &Technology::library_ratio},
+        {"wire_cap_per_stage", &Technology::wire_cap_per_stage},
+    };
+    const CardField card_fields[] = {
+        {"vth0", &MosfetParams::vth0},
+        {"alpha", &MosfetParams::alpha},
+        {"kp", &MosfetParams::kp},
+        {"mobility_exp", &MosfetParams::mobility_exp},
+        {"vth_tc", &MosfetParams::vth_tc},
+        {"lambda", &MosfetParams::lambda},
+        {"vdsat_coeff", &MosfetParams::vdsat_coeff},
+        {"t0", &MosfetParams::t0},
+        {"smoothing", &MosfetParams::smoothing},
+        {"cgate_per_w", &MosfetParams::cgate_per_w},
+        {"cdrain_per_w", &MosfetParams::cdrain_per_w},
+    };
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    for (double v : bad) {
+        for (const auto& [name, field] : fields) {
+            Technology t = cmos350();
+            t.*field = v;
+            EXPECT_THROW(validate(t), std::invalid_argument) << name << " = " << v;
+        }
+        for (const auto& [name, field] : card_fields) {
+            for (MosfetParams Technology::*card : {&Technology::nmos, &Technology::pmos}) {
+                Technology t = cmos350();
+                (t.*card).*field = v;
+                EXPECT_THROW(validate(t), std::invalid_argument)
+                    << (card == &Technology::nmos ? "nmos." : "pmos.") << name
+                    << " = " << v;
+            }
+        }
+    }
+    // Finite values of the fields validation never bounded still pass.
+    Technology t = cmos350();
+    t.nmos.mobility_exp = -0.5;
+    t.pmos.vth_tc = -1e-3;
+    t.nmos.lambda = 0.0;
+    t.pmos.vdsat_coeff = 2.0;
+    EXPECT_NO_THROW(validate(t));
 }
 
 } // namespace

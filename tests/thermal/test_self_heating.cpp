@@ -2,8 +2,13 @@
 
 #include "cells/cell.hpp"
 #include "phys/technology.hpp"
+#include "phys/units.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace stsense::thermal {
 namespace {
@@ -77,6 +82,63 @@ TEST(SelfHeating, InvalidParamsThrow) {
     p = SelfHeatingParams{};
     p.r_local = -1.0;
     EXPECT_THROW(solve_self_heating(tech, cfg, 85.0, p), std::invalid_argument);
+}
+
+TEST(SelfHeating, NonFiniteOrEmptyParamsThrowBeforeIterating) {
+    const auto tech = phys::cmos350();
+    const auto cfg = RingConfig::uniform(CellKind::Inv, 5);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    auto expect_rejected = [&](const SelfHeatingParams& p, double die_c,
+                               const char* what) {
+        EXPECT_THROW(solve_self_heating(tech, cfg, die_c, p),
+                     std::invalid_argument)
+            << what;
+    };
+    SelfHeatingParams p;
+    p.tolerance_k = inf; // Used to "settle" after one iteration.
+    expect_rejected(p, 85.0, "tolerance +inf");
+    p.tolerance_k = nan;
+    expect_rejected(p, 85.0, "tolerance NaN");
+    p.tolerance_k = 0.0;
+    expect_rejected(p, 85.0, "tolerance 0");
+    p = SelfHeatingParams{};
+    p.max_iters = 0;
+    expect_rejected(p, 85.0, "max_iters 0");
+    for (double r : {nan, inf}) {
+        p = SelfHeatingParams{};
+        p.r_local = r;
+        expect_rejected(p, 85.0, "r_local");
+    }
+    p = SelfHeatingParams{};
+    p.duty = nan;
+    expect_rejected(p, 85.0, "duty NaN");
+    for (double die_c : {nan, inf, -inf}) {
+        expect_rejected(SelfHeatingParams{}, die_c, "die temperature");
+    }
+}
+
+TEST(SelfHeating, PowerMatchesTheOneShotRingPowerBitForBit) {
+    // The solve binds the ring once; each iteration's power must be the
+    // one-shot ring_dynamic_power at that junction temperature.
+    const auto tech = phys::cmos350();
+    const auto cfg = RingConfig::uniform(CellKind::Inv, 5);
+    SelfHeatingParams p;
+    p.duty = 0.5;
+    const SelfHeatingResult r = solve_self_heating(tech, cfg, 85.0, p);
+    // avg_power_w is the power at the junction temperature before the
+    // last update; rerun the fixed point by hand to find it.
+    double tj = 85.0;
+    double power = 0.0;
+    for (int it = 0; it < p.max_iters; ++it) {
+        power = p.duty * ring_dynamic_power(tech, cfg, phys::celsius_to_kelvin(tj));
+        const double next = 85.0 + p.r_local * power;
+        const bool done = std::abs(next - tj) < p.tolerance_k;
+        tj = next;
+        if (done) break;
+    }
+    EXPECT_EQ(r.avg_power_w, power);
+    EXPECT_EQ(r.junction_c, tj);
 }
 
 } // namespace
