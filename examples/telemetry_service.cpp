@@ -24,7 +24,7 @@ std::vector<service::SessionSpec> make_sessions(int n) {
         // The paper configuration per die: 3x3 sites on the demo
         // floorplan, health supervision on so quarantine/recovery state
         // shows up in the object model.
-        spec.runtime.health(true);
+        spec.monitor.enable_health = true;
         specs.push_back(std::move(spec));
     }
     return specs;

@@ -17,13 +17,14 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc, argv);
     const int n = cli.get("sensors", 3);
 
-    // All runtime knobs live in one validated builder: the resilient
-    // readout (health supervision + replica voting) and the trace path
-    // (also honors STSENSE_TRACE when --trace is not given).
-    const auto rt = stsense::RuntimeOptions()
-                        .health(cli.has("health"))
-                        .redundancy(cli.get("redundancy", 1))
-                        .trace(cli.get("trace", std::string{}));
+    // The resilient readout (health supervision + replica voting) is
+    // the monitor's own config; the trace path is a runtime knob (also
+    // honors STSENSE_TRACE when --trace is not given).
+    sensor::MonitorConfig mc;
+    mc.enable_health = cli.has("health");
+    mc.redundancy = cli.get("redundancy", 1);
+    const auto rt =
+        stsense::RuntimeOptions().trace(cli.get("trace", std::string{}));
     const auto trace = rt.trace_session();
 
     // A 10x10 mm die with a hot core, an FPU, a cache and an I/O column.
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
     const auto sites = sensor::uniform_sites(fp, n, n);
     const sensor::ThermalMonitor monitor(
         phys::cmos350(), ring::RingConfig::uniform(cells::CellKind::Inv, 5, 2.75),
-        fp, sites, rt.monitor_config());
+        fp, sites, mc);
 
     const sensor::MapResult map = monitor.scan();
 

@@ -49,22 +49,6 @@ RuntimeOptions& RuntimeOptions::trace(std::string path) {
     return *this;
 }
 
-RuntimeOptions& RuntimeOptions::health(bool on) {
-    health_ = on;
-    return *this;
-}
-
-RuntimeOptions& RuntimeOptions::health(sensor::SiteHealthConfig config) {
-    health_ = true;
-    health_config_ = config;
-    return *this;
-}
-
-RuntimeOptions& RuntimeOptions::redundancy(int replicas) {
-    redundancy_ = replicas;
-    return *this;
-}
-
 RuntimeOptions& RuntimeOptions::cancel(exec::CancelToken token) {
     cancel_ = std::move(token);
     return *this;
@@ -93,13 +77,6 @@ const RuntimeOptions& RuntimeOptions::validate() const {
     if (fault_.max_retries < 0) bad("fault max_retries must be >= 0");
     if (!(fault_.retry_steps_factor > 0.0)) {
         bad("fault retry_steps_factor must be > 0");
-    }
-    if (redundancy_ < 1) bad("redundancy must be >= 1");
-    if (health_) {
-        if (health_config_.max_retries < 0) bad("health max_retries must be >= 0");
-        if (!(health_config_.temp_min_c < health_config_.temp_max_c)) {
-            bad("health plausible band needs temp_min_c < temp_max_c");
-        }
     }
     return *this;
 }
@@ -137,15 +114,6 @@ sensor::OptimizerRuntime RuntimeOptions::optimizer_runtime() const {
     rt.keep_checkpoint = keep_checkpoint_;
     rt.cancel = effective_cancel();
     return rt;
-}
-
-sensor::MonitorConfig RuntimeOptions::monitor_config(
-    sensor::MonitorConfig base) const {
-    validate();
-    base.enable_health = health_;
-    if (health_) base.health = health_config_;
-    base.redundancy = redundancy_;
-    return base;
 }
 
 spice::TransientOptions RuntimeOptions::transient_options() const {

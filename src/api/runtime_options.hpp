@@ -1,15 +1,15 @@
 // stsense::RuntimeOptions — the one place execution knobs live.
 //
-// Four runtime-config structs grew up independently as the layers did:
+// Three runtime-config structs grew up independently as the layers did:
 // ring::SweepRuntime (pool/cache/fault/checkpoint of one sweep),
-// sensor::OptimizerRuntime (the same knobs for candidate fan-out),
-// sensor::MonitorConfig (health supervision + redundancy of a scan),
-// and spice::TransientOptions (the fast-kernel toggles). Configuring a
-// whole experiment meant filling all four by hand and keeping their
+// sensor::OptimizerRuntime (the same knobs for candidate fan-out), and
+// spice::TransientOptions (the fast-kernel toggles). Configuring a
+// whole experiment meant filling all three by hand and keeping their
 // overlapping fields (fault policy, checkpoint path, pool) agreeing.
 //
-// RuntimeOptions is the builder that owns every knob once, validates
-// them in one place, and projects the per-layer structs on demand:
+// RuntimeOptions is the builder that owns every execution knob once,
+// validates them in one place, and projects the per-layer structs on
+// demand:
 //
 //     auto rt = stsense::RuntimeOptions()
 //                   .threads(8)
@@ -22,7 +22,9 @@
 //                                    rt.sweep_runtime());
 //
 // The per-layer structs remain the real API of their layers; this
-// header only aggregates. A RuntimeOptions that created its own pool
+// header only aggregates. A monitor's health supervision and ring
+// redundancy are not execution knobs: they live in sensor::MonitorConfig
+// alone. A RuntimeOptions that created its own pool
 // (threads(n) with n > 0) must outlive every projected struct that
 // points at it.
 #pragma once
@@ -31,7 +33,6 @@
 #include "obs/export.hpp"
 #include "ring/spice_ring.hpp"
 #include "ring/sweep.hpp"
-#include "sensor/monitor.hpp"
 #include "sensor/optimizer.hpp"
 #include "spice/simulator.hpp"
 
@@ -82,16 +83,6 @@ public:
     /// STSENSE_TRACE environment variable names a path.
     RuntimeOptions& trace(std::string path);
 
-    /// Resilient monitor readout (SiteHealth supervision) with the
-    /// default health config.
-    RuntimeOptions& health(bool on);
-
-    /// Resilient monitor readout with an explicit health config.
-    RuntimeOptions& health(sensor::SiteHealthConfig config);
-
-    /// Redundant rings per monitor site (quorum voting; 1 disables).
-    RuntimeOptions& redundancy(int replicas);
-
     /// Cooperative cancellation token for sweeps/searches run through
     /// this builder: projected into SweepRuntime/OptimizerRuntime, so
     /// firing it (from any thread) unwinds the workload at its next
@@ -124,10 +115,6 @@ public:
     /// search against the same path simultaneously.
     sensor::OptimizerRuntime optimizer_runtime() const;
 
-    /// `base` with this builder's health/redundancy knobs applied; the
-    /// grid/sensor/calibration fields of `base` pass through untouched.
-    sensor::MonitorConfig monitor_config(sensor::MonitorConfig base = {}) const;
-
     /// The transient engine's kernel: TransientOptions::fast() under
     /// fast_kernel(true), else the seed-identical defaults.
     spice::TransientOptions transient_options() const;
@@ -159,8 +146,6 @@ public:
     const ring::FaultPolicySpec& fault() const noexcept { return fault_; }
     bool fast_kernel_enabled() const noexcept { return fast_kernel_; }
     const std::string& trace_path() const noexcept { return trace_path_; }
-    bool health_enabled() const noexcept { return health_; }
-    int redundancy_count() const noexcept { return redundancy_; }
     const exec::CancelToken& cancel_token() const noexcept { return cancel_; }
     double deadline_millis() const noexcept { return deadline_ms_; }
     /// The token a projection hands to its runtime: the configured
@@ -178,9 +163,6 @@ private:
     ring::FaultPolicySpec fault_;
     bool fast_kernel_ = false;
     std::string trace_path_;
-    bool health_ = false;
-    sensor::SiteHealthConfig health_config_;
-    int redundancy_ = 1;
     exec::CancelToken cancel_;
     double deadline_ms_ = 0.0;
     /// Lazily created by pool(); shared so copies of a RuntimeOptions

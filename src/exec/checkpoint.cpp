@@ -1,14 +1,17 @@
 #include "exec/checkpoint.hpp"
 
+#include "exec/cancel.hpp"
 #include "exec/fault_injector.hpp"
 #include "exec/fingerprint.hpp"
 #include "exec/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -280,5 +283,40 @@ std::size_t Checkpoint::completed_count() const {
 }
 
 void Checkpoint::remove_file() { std::remove(path_.c_str()); }
+
+void Checkpoint::clear() {
+    std::lock_guard lock(m_);
+    std::fill(done_.begin(), done_.end(), std::uint8_t{0});
+    completed_ = 0;
+}
+
+void run_checkpointed(const JobCheckpoint& job,
+                      const std::function<void(Checkpoint*)>& body) {
+    std::optional<Checkpoint> ckpt;
+    if (!job.path.empty()) {
+        ckpt.emplace(job.path, job.fingerprint, job.n_points,
+                     job.values_per_point);
+        if (job.every > 0) {
+            ckpt->set_flush_every(static_cast<std::size_t>(job.every));
+        }
+        ckpt->load();
+    }
+    Checkpoint* const cp = ckpt ? &*ckpt : nullptr;
+    try {
+        body(cp);
+    } catch (const CancelledError&) {
+        // A cooperative cancel has a live process to flush from (the
+        // write is atomic tmp+rename, so the file is never torn).
+        MetricsRegistry::global().counter(job.cancel_counter).add();
+        if (cp != nullptr) cp->flush();
+        throw;
+    }
+    if (cp == nullptr) return;
+    if (job.keep) {
+        cp->flush();
+    } else {
+        cp->remove_file();
+    }
+}
 
 } // namespace stsense::exec

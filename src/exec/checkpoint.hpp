@@ -20,9 +20,14 @@
 //
 // The class is thread-safe: parallel workers record() concurrently and
 // flushes are serialized internally.
+//
+// run_checkpointed() is the one lifecycle every long job shares (sweeps,
+// optimizer searches, population studies): open and load the file, run
+// the job, flush on cancel, then keep or delete the file on success.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -88,6 +93,11 @@ public:
     /// run's checkpoint does not linger). Missing file is fine.
     void remove_file();
 
+    /// Forgets every completed point in memory; the file is untouched
+    /// until the next flush. For a consumer that loaded a state it
+    /// cannot resume from and starts over.
+    void clear();
+
 private:
     std::string compose_locked() const; ///< Requires m_ held.
     void flush_locked();                ///< Requires m_ held.
@@ -105,5 +115,36 @@ private:
     std::size_t since_flush_ = 0;
     std::uint64_t flushes_ = 0;
 };
+
+/// One long job's checkpoint: the job's identity and shape, and the
+/// path, cadence and retention its runtime struct asked for.
+struct JobCheckpoint {
+    std::string path; ///< Empty: the job runs without a checkpoint.
+    std::uint64_t fingerprint = 0;
+    std::size_t n_points = 0;
+    std::size_t values_per_point = 0;
+    /// Records between automatic flushes; <= 0 selects the Checkpoint
+    /// default (8). The same rule holds for every layer's runtime.
+    std::int64_t every = 0;
+    /// true flushes the file after a completed job (tests, debugging);
+    /// false deletes it, so a finished job leaves no stale state.
+    bool keep = false;
+    /// Counter bumped once per cancelled job ("exec.cancel.sweeps", ...).
+    const char* cancel_counter = "";
+};
+
+/// Runs `body` under the checkpoint lifecycle of a long job:
+///   1. opens the checkpoint at job.path (none when it is empty), sets
+///      its cadence and loads it;
+///   2. runs body(checkpoint), nullptr without a path;
+///   3. on exec::CancelledError counts job.cancel_counter, flushes every
+///      completed point and keeps the file (a re-issued identical job
+///      resumes bitwise), then rethrows;
+///   4. on success flushes (job.keep) or deletes the file.
+/// Every other exception, an InjectedKill included, passes through
+/// unflushed: it stands for a process death, and a dead process flushes
+/// nothing.
+void run_checkpointed(const JobCheckpoint& job,
+                      const std::function<void(Checkpoint*)>& body);
 
 } // namespace stsense::exec

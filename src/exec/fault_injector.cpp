@@ -25,7 +25,6 @@ const char* site_name(FaultInjector::Site site) {
         case FaultInjector::Site::NewtonFail: return "exec.fault.newton_fail";
         case FaultInjector::Site::NanState: return "exec.fault.nan_state";
         case FaultInjector::Site::Point: return "exec.fault.point";
-        case FaultInjector::Site::CacheRow: return "exec.fault.cache_row";
         case FaultInjector::Site::SlowTask: return "exec.fault.slow_task";
         case FaultInjector::Site::StuckOscillator: return "exec.fault.stuck_osc";
         case FaultInjector::Site::DriftSite: return "exec.fault.drift_site";
@@ -70,7 +69,6 @@ double FaultInjector::probability(Site site) const {
         case Site::NewtonFail: return config_.p_newton_fail;
         case Site::NanState: return config_.p_nan_state;
         case Site::Point: return config_.p_point;
-        case Site::CacheRow: return config_.p_cache_row;
         case Site::SlowTask: return config_.p_slow_task;
         case Site::StuckOscillator: return config_.p_stuck_osc;
         case Site::DriftSite: return config_.p_drift_site;

@@ -1,8 +1,8 @@
 // exec::FaultInjector — deterministic fault injection for the runtime.
 //
 // Robustness claims ("the sweep survives a failed point", "the recovery
-// ladder rescues a non-converging solve", "the cache drops a corrupted
-// row") are only testable if failures can be produced on demand, and
+// ladder rescues a non-converging solve", "a torn checkpoint resumes")
+// are only testable if failures can be produced on demand, and
 // only *debuggable* if the same seed produces the same failures every
 // run at every thread count. The injector is therefore a pure function:
 // whether site S trips at work index i depends only on
@@ -19,8 +19,6 @@
 //   * Point     — ring::temperature_sweep / sensor::ThermalMonitor: the
 //     whole unit of work fails with a SimError before evaluation
 //     (exercises the per-point FaultPolicy machinery for both engines).
-//   * CacheRow  — exec::ResultCache::save_csv: one character of the
-//     persisted row is corrupted (caught by the load-time checksum).
 //   * SlowTask  — exec::ThreadPool: the task sleeps `slow_task_us`
 //     before running (exercises deadline budgets and stragglers).
 //   * StuckOscillator — sensor::ThermalMonitor: the ring's period is
@@ -80,11 +78,12 @@ struct InjectedKill : std::runtime_error {
 
 class FaultInjector {
 public:
+    /// Each site's value seeds its trip streams (trip() hashes
+    /// site << 56), so values are never renumbered; 3 is unused.
     enum class Site : int {
         NewtonFail = 0,
         NanState = 1,
         Point = 2,
-        CacheRow = 3,
         SlowTask = 4,
         StuckOscillator = 5,
         DriftSite = 6,
@@ -95,14 +94,12 @@ public:
         CancelStorm = 11,
         ShardKill = 12,
     };
-    static constexpr int kSiteCount = 13;
 
     struct Config {
         std::uint64_t seed = 1;       ///< Root of every trip decision.
         double p_newton_fail = 0.0;   ///< P(base Newton attempt sabotaged).
         double p_nan_state = 0.0;     ///< P(NaN planted in a solution).
         double p_point = 0.0;         ///< P(sweep/monitor point fails).
-        double p_cache_row = 0.0;     ///< P(persisted cache row corrupted).
         double p_slow_task = 0.0;     ///< P(pool task delayed).
         double p_stuck_osc = 0.0;     ///< P(ring period stuck, per ring).
         double p_drift_site = 0.0;    ///< P(ring drifted, per ring).

@@ -1,35 +1,6 @@
 #include "exec/result_cache.hpp"
 
-#include "exec/checkpoint.hpp"
-#include "exec/fault_injector.hpp"
-#include "exec/fingerprint.hpp"
-#include "util/csv.hpp"
-
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
 namespace stsense::exec {
-
-namespace {
-
-/// Row checksum: plain FNV-1a over the row's bytes (everything before
-/// the trailing ",c<hex>" field).
-std::uint64_t row_checksum(const std::string& row) {
-    Fingerprint fp;
-    fp.bytes(row.data(), row.size());
-    return fp.value();
-}
-
-std::string checksum_hex(std::uint64_t v) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-    return std::string(buf);
-}
-
-} // namespace
 
 std::size_t Series::byte_size() const {
     std::size_t bytes = sizeof(Series);
@@ -47,7 +18,6 @@ ResultCache::ResultCache(std::size_t byte_budget, MetricsRegistry* metrics,
         metric_hits_ = &metrics->counter(metric_prefix + ".hits");
         metric_misses_ = &metrics->counter(metric_prefix + ".misses");
         metric_evictions_ = &metrics->counter(metric_prefix + ".evictions");
-        metric_corrupt_ = &metrics->counter(metric_prefix + ".corrupt_rows");
         metric_bytes_ = &metrics->gauge(metric_prefix + ".bytes");
     }
 }
@@ -103,7 +73,6 @@ ResultCache::Stats ResultCache::stats() const {
     s.hits = hits_;
     s.misses = misses_;
     s.evictions = evictions_;
-    s.corrupt_rows = corrupt_rows_.load(std::memory_order_relaxed);
     s.entries = lru_.size();
     s.bytes = bytes_;
     return s;
@@ -115,137 +84,6 @@ void ResultCache::clear() {
     index_.clear();
     bytes_ = 0;
     if (metric_bytes_ != nullptr) metric_bytes_->set(0.0);
-}
-
-// Persistence format: one line per entry,
-//   key,ncols,nrows,name0,...,nameK,v(col0,row0),...,v(colK,rowN),c<fnv1a>
-// written least-recently-used first so a reload replays into the same
-// recency order. The trailing field is the FNV-1a checksum (16 hex
-// digits, 'c' prefix) of everything before it; load_csv drops rows that
-// fail it, so on-disk corruption degrades to a smaller cache instead of
-// poisoned values.
-std::size_t ResultCache::save_csv(const std::string& path) const {
-    // Compose everything in memory and land it with a tmp-file + atomic
-    // rename (shared with exec::Checkpoint): a kill mid-save leaves the
-    // previous complete file on disk instead of a truncated cache.
-    std::string content;
-    std::size_t written = 0;
-    {
-        std::lock_guard lock(m_);
-        auto* injector = FaultInjector::active();
-        for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-            const Series& s = *it->value;
-            const std::size_t rows = s.columns.empty() ? 0 : s.columns.front().size();
-            std::ostringstream row;
-            row << it->key << ',' << s.columns.size() << ',' << rows;
-            for (const auto& name : s.names) row << ',' << name;
-            for (const auto& col : s.columns) {
-                for (double v : col) row << ',' << util::format_double(v);
-            }
-            std::string text = row.str();
-            const std::uint64_t sum = row_checksum(text);
-            if (injector != nullptr &&
-                injector->trip(FaultInjector::Site::CacheRow,
-                               static_cast<std::uint64_t>(written))) {
-                // Injected disk corruption: flip one payload character after
-                // the checksum was computed, so the row fails validation.
-                text.back() = text.back() == '0' ? '1' : '0';
-            }
-            content += text;
-            content += ",c";
-            content += checksum_hex(sum);
-            content += '\n';
-            ++written;
-        }
-    }
-    try {
-        atomic_write_file(path, content);
-    } catch (const std::runtime_error&) {
-        throw std::runtime_error("ResultCache::save_csv: cannot write " + path);
-    }
-    return written;
-}
-
-std::size_t ResultCache::load_csv(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) return 0; // Cold start: no persisted cache yet.
-    std::size_t loaded = 0;
-    std::string line;
-    auto reject = [&] {
-        corrupt_rows_.fetch_add(1, std::memory_order_relaxed);
-        if (metric_corrupt_ != nullptr) metric_corrupt_->add();
-    };
-    while (std::getline(in, line)) {
-        // Validate the trailing checksum before trusting any field: the
-        // last comma-separated field must be "c<16 hex digits>" matching
-        // the FNV-1a of everything before it.
-        const std::size_t tail = line.rfind(',');
-        if (tail == std::string::npos || line.size() - tail != 18 ||
-            line[tail + 1] != 'c') {
-            reject(); // Truncated row or pre-checksum format.
-            continue;
-        }
-        std::uint64_t stored = 0;
-        {
-            char* end = nullptr;
-            const std::string hex = line.substr(tail + 2);
-            stored = std::strtoull(hex.c_str(), &end, 16);
-            if (end == nullptr || *end != '\0') {
-                reject();
-                continue;
-            }
-        }
-        const std::string payload = line.substr(0, tail);
-        if (row_checksum(payload) != stored) {
-            reject(); // Bit rot / partial write.
-            continue;
-        }
-
-        std::istringstream row(payload);
-        std::string field;
-        auto next = [&](std::string& dst) {
-            return static_cast<bool>(std::getline(row, dst, ','));
-        };
-        std::string key_s, ncols_s, nrows_s;
-        if (!next(key_s) || !next(ncols_s) || !next(nrows_s)) {
-            reject();
-            continue;
-        }
-        Series s;
-        try {
-            const std::uint64_t key = std::stoull(key_s);
-            const std::size_t ncols = std::stoul(ncols_s);
-            const std::size_t nrows = std::stoul(nrows_s);
-            if (ncols > 64 || nrows > (1u << 24)) {
-                reject(); // Sanity bound.
-                continue;
-            }
-            bool ok = true;
-            for (std::size_t c = 0; c < ncols && ok; ++c) {
-                ok = next(field);
-                if (ok) s.names.push_back(field);
-            }
-            for (std::size_t c = 0; c < ncols && ok; ++c) {
-                std::vector<double> col;
-                col.reserve(nrows);
-                for (std::size_t r = 0; r < nrows && ok; ++r) {
-                    ok = next(field);
-                    if (ok) col.push_back(std::stod(field));
-                }
-                s.columns.push_back(std::move(col));
-            }
-            if (!ok) {
-                reject(); // Fewer fields than the header promised.
-                continue;
-            }
-            insert(key, std::move(s));
-            ++loaded;
-        } catch (const std::exception&) {
-            reject(); // Malformed numeric field.
-            continue;
-        }
-    }
-    return loaded;
 }
 
 ResultCache& ResultCache::global() {

@@ -9,14 +9,13 @@
 // Values are immutable shared_ptrs: a hit hands back the exact cached
 // object with no copy, safe to read from any thread. Hit/miss/eviction
 // statistics are kept locally and mirrored into the metrics registry.
-// Optional CSV persistence lets long-lived grids (e.g. the paper sweep
-// of every enumerated cell mix) survive across process runs.
+// The cache lives in memory only; a long run that must survive a kill
+// persists its progress through exec::Checkpoint instead.
 #pragma once
 
 #include "exec/metrics.hpp"
 #include "obs/trace.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -45,9 +44,6 @@ public:
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
-        /// Persisted rows dropped by load_csv: checksum mismatch,
-        /// truncation, or malformed fields.
-        std::uint64_t corrupt_rows = 0;
         std::size_t entries = 0;
         std::size_t bytes = 0;
         double hit_rate() const {
@@ -92,21 +88,6 @@ public:
     std::size_t byte_budget() const { return budget_; }
     void clear();
 
-    /// Persists every resident entry; returns the entry count written.
-    /// Every row carries a trailing FNV-1a content checksum so on-disk
-    /// corruption is detectable at load time. Throws std::runtime_error
-    /// if the file cannot be opened.
-    std::size_t save_csv(const std::string& path) const;
-
-    /// Loads entries from a save_csv file; returns the entry count
-    /// inserted. Rows whose checksum does not match their content —
-    /// bit rot, truncation, a missing checksum field, or malformed
-    /// numerics — are silently dropped and counted (Stats::corrupt_rows
-    /// and the "<prefix>.corrupt_rows" metric) instead of ingesting
-    /// garbage values; existing keys are kept. A missing file is not an
-    /// error — returns 0, so cold starts need no check.
-    std::size_t load_csv(const std::string& path);
-
     /// The process-wide cache (default budget, publishing into
     /// MetricsRegistry::global()).
     static ResultCache& global();
@@ -131,11 +112,9 @@ private:
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-    std::atomic<std::uint64_t> corrupt_rows_{0}; ///< load_csv rejects.
     Counter* metric_hits_ = nullptr;
     Counter* metric_misses_ = nullptr;
     Counter* metric_evictions_ = nullptr;
-    Counter* metric_corrupt_ = nullptr;
     Gauge* metric_bytes_ = nullptr;
 };
 

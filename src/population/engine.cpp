@@ -509,41 +509,6 @@ PopulationResult run_population(const PopulationConfig& config,
     Accumulators acc(config.quantiles);
     const std::size_t state_size = acc.state_size();
 
-    // The accumulator state after shard s already holds shards 0..s, so
-    // the checkpoint keeps one point — the newest state — and every
-    // fold overwrites it.
-    std::optional<exec::Checkpoint> ckpt;
-    auto open_checkpoint = [&] {
-        ckpt.emplace(rt.checkpoint_path, fp, 1, state_size);
-        ckpt->set_flush_every(rt.checkpoint_every);
-    };
-    std::size_t first_shard = 0;
-    std::uint64_t resumed_dice = 0;
-    if (!rt.checkpoint_path.empty()) {
-        open_checkpoint();
-        if (ckpt->load() > 0) {
-            const auto state = ckpt->values(0);
-            const double done = Accumulators::dice_done_of(state);
-            if (is_resume_point(done, dice, shard_size)) {
-                acc.restore(state);
-                resumed_dice = static_cast<std::uint64_t>(done);
-                first_shard = static_cast<std::size_t>(
-                    (resumed_dice + shard_size - 1) / shard_size);
-                exec::MetricsRegistry::global()
-                    .counter("population.resumed_dice")
-                    .add(resumed_dice);
-            } else {
-                // Checksummed, but not a state this study can have
-                // written: start fresh, and drop it from memory so a
-                // cancel before the first fold cannot persist it again.
-                exec::MetricsRegistry::global()
-                    .counter("population.rejected_checkpoints")
-                    .add();
-                open_checkpoint();
-            }
-        }
-    }
-
     // Ambient cancellation: installing an invalid token is a no-op, so
     // an enclosing request's token stays visible when rt.cancel is
     // unset.
@@ -566,64 +531,85 @@ PopulationResult run_population(const PopulationConfig& config,
         rt.on_shard(progress);
     };
 
-    try {
-        for (std::size_t s = first_shard; s < n_shards; ++s) {
-            token.check();
-            const std::uint64_t begin =
-                static_cast<std::uint64_t>(s) * shard_size;
-            const std::uint64_t end =
-                std::min<std::uint64_t>(dice, begin + shard_size);
-            const std::size_t n = static_cast<std::size_t>(end - begin);
-
-            // Evaluate the shard in parallel (independent dice), then
-            // fold serially in ascending die order — the fold order is
-            // part of the deterministic result.
-            auto fill = [&](std::size_t b, std::size_t e) {
-                for (std::size_t i = b; i < e; ++i) {
-                    shard_buf[i] =
-                        eval.evaluate(begin + static_cast<std::uint64_t>(i));
+    // The accumulator state after shard s already holds shards 0..s, so
+    // the checkpoint keeps one point — the newest state — and every
+    // fold overwrites it.
+    std::uint64_t resumed_dice = 0;
+    exec::run_checkpointed(
+        {rt.checkpoint_path, fp, 1, state_size,
+         static_cast<std::int64_t>(rt.checkpoint_every), rt.keep_checkpoint,
+         "population.cancelled"},
+        [&](exec::Checkpoint* ckpt) {
+            std::size_t first_shard = 0;
+            if (ckpt != nullptr && ckpt->completed(0)) {
+                const auto state = ckpt->values(0);
+                const double done = Accumulators::dice_done_of(state);
+                if (is_resume_point(done, dice, shard_size)) {
+                    acc.restore(state);
+                    resumed_dice = static_cast<std::uint64_t>(done);
+                    first_shard = static_cast<std::size_t>(
+                        (resumed_dice + shard_size - 1) / shard_size);
+                    exec::MetricsRegistry::global()
+                        .counter("population.resumed_dice")
+                        .add(resumed_dice);
+                } else {
+                    // Checksummed, but not a state this study can have
+                    // written: start fresh, and drop it from memory so a
+                    // cancel before the first fold cannot persist it
+                    // again.
+                    exec::MetricsRegistry::global()
+                        .counter("population.rejected_checkpoints")
+                        .add();
+                    ckpt->clear();
                 }
-            };
-            if (rt.parallel && n > 1) {
-                pool.parallel_for(n, 0, fill);
-            } else {
-                fill(0, n);
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                acc.fold(shard_buf[i], config.yield_limit_c);
             }
 
-            exec::MetricsRegistry::global().counter("population.dice").add(n);
-            exec::MetricsRegistry::global().counter("population.shards").add();
+            for (std::size_t s = first_shard; s < n_shards; ++s) {
+                token.check();
+                const std::uint64_t begin =
+                    static_cast<std::uint64_t>(s) * shard_size;
+                const std::uint64_t end =
+                    std::min<std::uint64_t>(dice, begin + shard_size);
+                const std::size_t n = static_cast<std::size_t>(end - begin);
 
-            if (ckpt) {
-                std::vector<double> state(state_size);
-                acc.serialize(state);
-                ckpt->record(0, state);
-            }
-            // The kill site models process death *after* the shard
-            // completed (record done, no explicit flush): resume must
-            // recompute any unflushed tail bitwise.
-            if (auto* injector = exec::FaultInjector::active();
-                injector != nullptr &&
-                injector->trip(exec::FaultInjector::Site::ShardKill, s)) {
-                throw exec::InjectedKill(s);
-            }
-            publish(s + 1);
-        }
-    } catch (const exec::CancelledError&) {
-        exec::MetricsRegistry::global().counter("population.cancelled").add();
-        if (ckpt) ckpt->flush();
-        throw;
-    }
+                // Evaluate the shard in parallel (independent dice), then
+                // fold serially in ascending die order — the fold order is
+                // part of the deterministic result.
+                auto fill = [&](std::size_t b, std::size_t e) {
+                    for (std::size_t i = b; i < e; ++i) {
+                        shard_buf[i] = eval.evaluate(
+                            begin + static_cast<std::uint64_t>(i));
+                    }
+                };
+                if (rt.parallel && n > 1) {
+                    pool.parallel_for(n, 0, fill);
+                } else {
+                    fill(0, n);
+                }
+                for (std::size_t i = 0; i < n; ++i) {
+                    acc.fold(shard_buf[i], config.yield_limit_c);
+                }
 
-    if (ckpt) {
-        if (rt.keep_checkpoint) {
-            ckpt->flush();
-        } else {
-            ckpt->remove_file();
-        }
-    }
+                auto& metrics = exec::MetricsRegistry::global();
+                metrics.counter("population.dice").add(n);
+                metrics.counter("population.shards").add();
+
+                if (ckpt != nullptr) {
+                    std::vector<double> state(state_size);
+                    acc.serialize(state);
+                    ckpt->record(0, state);
+                }
+                // The kill site models process death *after* the shard
+                // completed (record done, no explicit flush): resume must
+                // recompute any unflushed tail bitwise.
+                if (auto* injector = exec::FaultInjector::active();
+                    injector != nullptr &&
+                    injector->trip(exec::FaultInjector::Site::ShardKill, s)) {
+                    throw exec::InjectedKill(s);
+                }
+                publish(s + 1);
+            }
+        });
 
     PopulationResult result;
     result.dice = dice;

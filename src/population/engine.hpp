@@ -186,13 +186,14 @@ struct PopulationResult {
     std::vector<MetricSummary> metrics;
 };
 
-/// Execution knobs — mirrors the sweep runtime shape so
-/// api::RuntimeOptions projects onto it directly.
+/// Execution knobs — the sweep runtime's shape. The checkpoint knobs
+/// feed exec::run_checkpointed, the lifecycle every long job shares.
 struct PopulationRuntime {
     exec::ThreadPool* pool = nullptr; ///< nullptr = the global pool.
     bool parallel = true;
     std::string checkpoint_path;      ///< Empty = no checkpointing.
-    std::size_t checkpoint_every = 1; ///< Shards per checkpoint flush.
+    /// Shards per checkpoint flush; 0 selects the Checkpoint default (8).
+    std::size_t checkpoint_every = 1;
     bool keep_checkpoint = false;     ///< Keep the file after success.
     exec::CancelToken cancel;         ///< Installed around the run if valid.
     ProgressFn on_shard;              ///< Called after every folded shard.

@@ -481,60 +481,34 @@ SweepResult temperature_sweep(const phys::Technology& tech,
     const bool cacheable =
         runtime.use_cache && exec::FaultInjector::active() == nullptr;
 
-    // Crash-safe resume: the checkpoint is keyed by the same fingerprint
-    // the cache uses, so a stale file from a different sweep can never
-    // contribute points. Completed points load here and are skipped —
-    // bitwise — by the point loop below.
-    std::optional<exec::Checkpoint> ckpt;
-    if (!runtime.checkpoint_path.empty()) {
-        ckpt.emplace(runtime.checkpoint_path,
-                     sweep_fingerprint(tech, config, temps_c, engine, spice_opt,
-                                       runtime.fault),
-                     temps_c.size(), 2);
-        if (runtime.checkpoint_every > 0) {
-            ckpt->set_flush_every(
-                static_cast<std::size_t>(runtime.checkpoint_every));
-        }
-        ckpt->load();
-    }
-    exec::Checkpoint* ckpt_ptr = ckpt ? &*ckpt : nullptr;
-    auto run_checkpointed = [&] {
+    // The checkpoint is keyed by the same fingerprint the cache uses, so
+    // a stale file from a different sweep can never contribute points.
+    // It opens only when the sweep computes: a cache hit reads no file.
+    const std::uint64_t fp =
+        cacheable || !runtime.checkpoint_path.empty()
+            ? sweep_fingerprint(tech, config, temps_c, engine, spice_opt,
+                                runtime.fault)
+            : 0;
+    auto compute = [&] {
         SweepResult sweep;
-        try {
-            sweep = compute_sweep(tech, config, temps_c, engine, spice_opt,
-                                  runtime, ckpt_ptr);
-        } catch (const exec::CancelledError&) {
-            // Cancel-safe teardown: persist every completed point (the
-            // flush is atomic tmp+rename, so the file is never torn)
-            // and KEEP the file — a re-issued identical sweep resumes
-            // bitwise from here. Unlike SweepKill (which models a
-            // process death and deliberately loses the unflushed tail),
-            // a cooperative cancel has a live process to flush from.
-            if (ckpt_ptr != nullptr) ckpt_ptr->flush();
-            metrics.counter("exec.cancel.sweeps").add();
-            throw;
-        }
+        exec::run_checkpointed(
+            {runtime.checkpoint_path, fp, temps_c.size(), 2,
+             runtime.checkpoint_every, runtime.keep_checkpoint,
+             "exec.cancel.sweeps"},
+            [&](exec::Checkpoint* ckpt) {
+                sweep = compute_sweep(tech, config, temps_c, engine, spice_opt,
+                                      runtime, ckpt);
+            });
         record_outcomes(sweep);
-        if (ckpt_ptr != nullptr) {
-            // The sweep finished: either persist the complete state or
-            // clean up so no stale file lingers after success.
-            if (runtime.keep_checkpoint) {
-                ckpt_ptr->flush();
-            } else {
-                ckpt_ptr->remove_file();
-            }
-        }
         return sweep;
     };
 
-    if (!cacheable) return run_checkpointed();
+    if (!cacheable) return compute();
 
     auto& cache = runtime.cache != nullptr ? *runtime.cache
                                            : exec::ResultCache::global();
-    const std::uint64_t key =
-        sweep_fingerprint(tech, config, temps_c, engine, spice_opt, runtime.fault);
-    const auto series = cache.get_or_compute(key, [&] {
-        auto sweep = run_checkpointed();
+    const auto series = cache.get_or_compute(fp, [&] {
+        auto sweep = compute();
         exec::Series s;
         s.names = {"temps_c", "period_s", "frequency_hz", "status"};
         s.columns.resize(4);

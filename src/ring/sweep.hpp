@@ -123,7 +123,8 @@ struct SweepRuntime {
     /// fingerprint.
     std::string checkpoint_path;
     /// Completed points between checkpoint flushes (1 = flush on every
-    /// point; <= 0 keeps the Checkpoint default).
+    /// point; <= 0 selects the Checkpoint default, 8). The checkpoint
+    /// opens only when the sweep computes: a cache hit reads no file.
     int checkpoint_every = 8;
     /// true keeps the checkpoint file after a completed sweep (tests /
     /// debugging); the default removes it so finished runs leave no

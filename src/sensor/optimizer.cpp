@@ -5,7 +5,6 @@
 #include "exec/fingerprint.hpp"
 #include "obs/trace.hpp"
 #include "phys/units.hpp"
-#include "exec/metrics.hpp"
 #include "ring/analytic.hpp"
 #include "ring/sweep.hpp"
 
@@ -13,7 +12,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -78,61 +76,44 @@ std::vector<std::array<double, 2>> eval_candidates(
     // Ambient token for the whole search (no-op when rt.cancel is
     // invalid); candidate dispatches below poll it.
     exec::CancelScope cancel_scope(rt.cancel);
-    std::optional<exec::Checkpoint> ckpt;
+    std::uint64_t fp = 0;
     if (!rt.checkpoint_path.empty()) {
-        exec::Fingerprint fp;
-        fp.add(salt);
+        exec::Fingerprint f;
+        f.add(salt);
         const auto grid = ring::paper_temperature_grid_c();
         for (const auto& cfg : configs) {
-            fp.add(ring::sweep_fingerprint(tech, cfg, grid,
-                                           ring::Engine::Analytic, {},
-                                           rt.fault));
+            f.add(ring::sweep_fingerprint(tech, cfg, grid,
+                                          ring::Engine::Analytic, {}, rt.fault));
         }
-        ckpt.emplace(rt.checkpoint_path, fp.value(), configs.size(), 2);
-        if (rt.checkpoint_every > 0) {
-            ckpt->set_flush_every(static_cast<std::size_t>(rt.checkpoint_every));
-        }
-        ckpt->load();
+        fp = f.value();
     }
 
     std::vector<std::array<double, 2>> vals(configs.size());
-    auto run_candidates = [&] {
-        pool_or_global(rt.pool).parallel_for(
-        configs.size(), 1, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                // Candidate boundaries are the optimizer's poll points.
-                exec::CancelScope::current().check();
-                obs::Span span("sensor.optimize.candidate");
-                span.num("index", static_cast<double>(i));
-                if (ckpt && ckpt->completed(i)) {
-                    const auto v = ckpt->values(i);
-                    vals[i] = {v[0], v[1]};
-                    span.tag("source", "checkpoint");
-                    continue;
-                }
-                vals[i] = {nl_of_config(tech, configs[i], rt.fault),
-                           period_27c(tech, configs[i])};
-                if (ckpt) ckpt->record(i, vals[i]);
-                span.tag("source", "computed");
-            }
+    exec::run_checkpointed(
+        {rt.checkpoint_path, fp, configs.size(), 2, rt.checkpoint_every,
+         rt.keep_checkpoint, "exec.cancel.optimizes"},
+        [&](exec::Checkpoint* ckpt) {
+            pool_or_global(rt.pool).parallel_for(
+                configs.size(), 1, [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) {
+                        // Candidate boundaries are the optimizer's poll
+                        // points.
+                        exec::CancelScope::current().check();
+                        obs::Span span("sensor.optimize.candidate");
+                        span.num("index", static_cast<double>(i));
+                        if (ckpt != nullptr && ckpt->completed(i)) {
+                            const auto v = ckpt->values(i);
+                            vals[i] = {v[0], v[1]};
+                            span.tag("source", "checkpoint");
+                            continue;
+                        }
+                        vals[i] = {nl_of_config(tech, configs[i], rt.fault),
+                                   period_27c(tech, configs[i])};
+                        if (ckpt != nullptr) ckpt->record(i, vals[i]);
+                        span.tag("source", "computed");
+                    }
+                });
         });
-    };
-    try {
-        run_candidates();
-    } catch (const exec::CancelledError&) {
-        // Cancel-safe: persist completed candidates and keep the file
-        // so a re-issued identical search resumes bitwise.
-        if (ckpt) ckpt->flush();
-        exec::MetricsRegistry::global().counter("exec.cancel.optimizes").add();
-        throw;
-    }
-    if (ckpt) {
-        if (rt.keep_checkpoint) {
-            ckpt->flush();
-        } else {
-            ckpt->remove_file();
-        }
-    }
     return vals;
 }
 

@@ -30,7 +30,8 @@ struct OptimizerRuntime {
     /// search restores completed candidates bitwise instead of
     /// re-evaluating them.
     std::string checkpoint_path;
-    /// Completed candidates between checkpoint flushes (<= 0: default).
+    /// Completed candidates between checkpoint flushes (<= 0: the
+    /// Checkpoint default, 8).
     int checkpoint_every = 4;
     /// Keep the checkpoint file after a completed run (tests/debugging).
     bool keep_checkpoint = false;

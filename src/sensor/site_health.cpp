@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace stsense::sensor {
 
@@ -52,6 +53,25 @@ SiteHealthSupervisor::SiteHealthSupervisor(SiteHealthConfig config,
         config_.backoff_max_scans < config_.backoff_base_scans) {
         throw std::invalid_argument("SiteHealth: bad backoff interval");
     }
+    // The resilient scan compares, scales and casts with these: a NaN or
+    // an inverted band would silently read no site, and a NaN or
+    // negative watchdog margin is an out-of-range float-to-int cast.
+    const auto require = [](bool ok, const char* what) {
+        if (!ok) throw std::invalid_argument(std::string("SiteHealth: ") + what);
+    };
+    require(std::isfinite(config_.temp_min_c) &&
+                std::isfinite(config_.temp_max_c) &&
+                config_.temp_min_c < config_.temp_max_c,
+            "plausible band needs finite temp_min_c < temp_max_c");
+    require(std::isfinite(config_.quorum_tol_c) && config_.quorum_tol_c >= 0.0,
+            "quorum_tol_c must be finite and >= 0");
+    require(std::isfinite(config_.mad_floor_c) && config_.mad_floor_c >= 0.0,
+            "mad_floor_c must be finite and >= 0");
+    require(std::isfinite(config_.mad_k) && config_.mad_k > 0.0,
+            "mad_k must be finite and > 0");
+    require(std::isfinite(config_.watchdog_margin) &&
+                config_.watchdog_margin > 0.0,
+            "watchdog_margin must be finite and > 0");
 }
 
 const SiteRecord& SiteHealthSupervisor::rec(std::size_t site) const {

@@ -1,9 +1,9 @@
 #include "service/session.hpp"
 
-#include "api/population_spec.hpp"
 #include "dtm/fleet.hpp"
 #include "exec/metrics.hpp"
 #include "obs/trace.hpp"
+#include "population/engine.hpp"
 #include "ring/sweep.hpp"
 #include "sensor/optimizer.hpp"
 #include "service/protocol.hpp"
@@ -211,7 +211,7 @@ Session::Session(int id, SessionSpec spec, exec::ThreadPool* pool,
       monitor_(spec_.tech, spec_.ring, spec_.floorplan,
                sensor::uniform_sites(spec_.floorplan, spec_.sites_nx,
                                      spec_.sites_ny),
-               spec_.runtime.monitor_config(spec_.monitor)),
+               spec_.monitor),
       dtm_state_(before_first_run(dtm_state(true, dtm::FleetResult{}))),
       population_state_(before_first_run(
           population_state("", false, start_progress(0, 0)))) {
@@ -511,7 +511,6 @@ Json Session::dtm_run(const Json& params) {
         sensor::MonitorConfig mc = spec_.monitor;
         mc.grid_nx = grid;
         mc.grid_ny = grid;
-        mc.enable_health = spec_.runtime.health_enabled();
         auto fleet = std::make_unique<dtm::DtmFleet>(
             spec_.tech, spec_.ring, spec_.floorplan, layout.regions,
             layout.sites, mc, options);
@@ -586,19 +585,24 @@ Json Session::population_run(const Json& params) {
     }
 
     population::PopulationConfig cfg;
+    cfg.tech = spec_.tech;
+    cfg.ring = spec_.ring;
+    cfg.dice = static_cast<std::uint64_t>(dice);
+    cfg.shard_size = static_cast<std::size_t>(shard);
+    cfg.seed = static_cast<std::uint64_t>(seed);
+    cfg.corner = corner;
+    cfg.calibration = cal_policy;
+    cfg.horizon_hours = horizon;
+    // A positive interval schedules periodic one-point re-trims; zero or
+    // less keeps the default, RecalPolicy::Never.
+    if (recal_interval > 0.0) {
+        cfg.recal.policy = population::RecalPolicy::Periodic;
+        cfg.recal.interval_hours = recal_interval;
+    }
+    cfg.recal.temp_c = recal_temp;
+    cfg.yield_limit_c = yield_limit;
     try {
-        cfg = stsense::PopulationSpec()
-                  .technology(spec_.tech)
-                  .ring(spec_.ring)
-                  .dice(static_cast<std::uint64_t>(dice))
-                  .shard(static_cast<std::size_t>(shard))
-                  .seed(static_cast<std::uint64_t>(seed))
-                  .corner(corner)
-                  .calibration(cal_policy)
-                  .horizon_hours(horizon)
-                  .recalibration(recal_interval, recal_temp)
-                  .yield_limit_c(yield_limit)
-                  .config();
+        population::validate(cfg);
     } catch (const std::invalid_argument& e) {
         throw ServiceError(ErrorCode::BadParams, e.what());
     }
@@ -763,10 +767,10 @@ ModelPtr Session::model() const {
             {"sites_ny",
              [self] { return fixed_leaf(Json(self->spec_.sites_ny)); }},
             {"health_enabled", [self] {
-                 return fixed_leaf(Json(self->spec_.runtime.health_enabled()));
+                 return fixed_leaf(Json(self->spec_.monitor.enable_health));
              }},
             {"redundancy", [self] {
-                 return fixed_leaf(Json(self->spec_.runtime.redundancy_count()));
+                 return fixed_leaf(Json(self->spec_.monitor.redundancy));
              }},
             {"fast_kernel", [self] {
                  return fixed_leaf(

@@ -5,8 +5,8 @@
 // placement, and — crucially — the *stateful* runtime pieces that must
 // persist across requests: the ThermalMonitor with its
 // SiteHealthSupervisor ledger (quarantine, backoff, recovery walk the
-// epochs forward scan over scan) and the RuntimeOptions that project
-// every per-layer runtime struct.
+// epochs forward scan over scan), built from SessionSpec::monitor, and
+// the RuntimeOptions that project the sweep and optimizer runtimes.
 //
 // The server's scheduler runs one job per session at a time (the
 // supervisor is a single ledger; two concurrent scans would race it),
@@ -52,13 +52,14 @@ struct SessionSpec {
     thermal::Floorplan floorplan = thermal::demo_floorplan();
     int sites_nx = 3;
     int sites_ny = 3;
-    /// Monitor base (grid resolution, gate, calibration points); the
-    /// health/redundancy knobs are overlaid from `runtime`.
+    /// The session's monitor (grid resolution, gate, calibration
+    /// points, health supervision, ring redundancy). dtm_run's fleet
+    /// monitor starts from it too, at the request's grid.
     sensor::MonitorConfig monitor;
-    /// The unified knob surface: health, redundancy, fast kernel, fault
-    /// policy, cache, checkpoint cadence. The session projects this
-    /// onto SweepRuntime / OptimizerRuntime / MonitorConfig, overriding
-    /// the pool and cache with the server's shared ones.
+    /// The execution knobs: fast kernel, fault policy, cache, checkpoint
+    /// cadence. The session projects this onto SweepRuntime /
+    /// OptimizerRuntime, overriding the pool and cache with the
+    /// server's shared ones.
     stsense::RuntimeOptions runtime;
 };
 

@@ -3,7 +3,9 @@
 // One include pulls in the public surface of the library: the physics
 // and ring models, the SPICE engine, the digital smart unit, the sensor
 // and monitor layers, the execution runtime, observability, and the
-// RuntimeOptions facade that configures all of them in one place.
+// RuntimeOptions facade that sets their execution knobs in one place.
+// (A monitor's health supervision and redundancy are its own
+// sensor::MonitorConfig fields, not execution knobs.)
 //
 //     #include "stsense.hpp"
 //
@@ -85,9 +87,8 @@
 #include "population/aging.hpp"           // IWYU pragma: export
 #include "population/engine.hpp"          // IWYU pragma: export
 
-// ---- the unified configuration facade -----------------------------------
+// ---- the execution-knob facade ------------------------------------------
 #include "api/runtime_options.hpp"   // IWYU pragma: export
-#include "api/population_spec.hpp"   // IWYU pragma: export
 
 // ---- the telemetry service ----------------------------------------------
 #include "service/service.hpp"       // IWYU pragma: export

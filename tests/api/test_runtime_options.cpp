@@ -40,11 +40,6 @@ TEST(RuntimeOptions, DefaultsProjectTheLayerDefaults) {
     const ring::SpiceRingOptions sref;
     EXPECT_EQ(spice_opt.early_exit, sref.early_exit);
     EXPECT_EQ(spice_opt.steps_per_period, sref.steps_per_period);
-
-    const auto mon = rt.monitor_config();
-    const sensor::MonitorConfig mref;
-    EXPECT_EQ(mon.enable_health, mref.enable_health);
-    EXPECT_EQ(mon.redundancy, mref.redundancy);
 }
 
 TEST(RuntimeOptions, FluentSettersChainOnOneObject) {
@@ -53,8 +48,6 @@ TEST(RuntimeOptions, FluentSettersChainOnOneObject) {
                                   .use_cache(false)
                                   .fault_policy(ring::FaultPolicy::Retry, 5, 3.0)
                                   .fast_kernel(true)
-                                  .health(true)
-                                  .redundancy(3)
                                   .checkpoint("run.ckpt", 4, true)
                                   .trace("run_trace.json");
     EXPECT_EQ(&chained, &rt);
@@ -64,8 +57,6 @@ TEST(RuntimeOptions, FluentSettersChainOnOneObject) {
     EXPECT_EQ(rt.fault().max_retries, 5);
     EXPECT_EQ(rt.fault().retry_steps_factor, 3.0);
     EXPECT_TRUE(rt.fast_kernel_enabled());
-    EXPECT_TRUE(rt.health_enabled());
-    EXPECT_EQ(rt.redundancy_count(), 3);
     EXPECT_EQ(rt.checkpoint_path(), "run.ckpt");
     EXPECT_EQ(rt.trace_path(), "run_trace.json");
 }
@@ -116,28 +107,6 @@ TEST(RuntimeOptions, OwnedPoolIsLazySharedAndRebuiltOnWidthChange) {
     EXPECT_EQ(rebuilt->size(), 3);
 }
 
-TEST(RuntimeOptions, MonitorConfigAppliesHealthAndPassesBaseThrough) {
-    sensor::MonitorConfig base;
-    base.grid_nx = 12;
-    base.grid_ny = 9;
-    base.cal_low_c = 10.0;
-    base.cal_high_c = 90.0;
-
-    sensor::SiteHealthConfig hc;
-    hc.max_retries = 7;
-    RuntimeOptions rt;
-    rt.health(hc).redundancy(3);
-    const auto mon = rt.monitor_config(base);
-    EXPECT_TRUE(mon.enable_health);
-    EXPECT_EQ(mon.health.max_retries, 7);
-    EXPECT_EQ(mon.redundancy, 3);
-    // The non-runtime fields pass through untouched.
-    EXPECT_EQ(mon.grid_nx, 12);
-    EXPECT_EQ(mon.grid_ny, 9);
-    EXPECT_EQ(mon.cal_low_c, 10.0);
-    EXPECT_EQ(mon.cal_high_c, 90.0);
-}
-
 TEST(RuntimeOptions, FastKernelProjectsTheTunedPresets) {
     // fast_kernel is the whole kernel surface: on, every projection
     // carries the tuned presets field for field; off again, the
@@ -173,24 +142,18 @@ TEST(RuntimeOptions, ValidationRejectsEachBadKnobByName) {
         }
     };
     expect_rejects(RuntimeOptions().threads(-1), "threads");
-    expect_rejects(RuntimeOptions().redundancy(0), "redundancy");
     expect_rejects(
         RuntimeOptions().fault_policy(ring::FaultPolicy::Retry, -1),
         "max_retries");
     expect_rejects(
         RuntimeOptions().fault_policy(ring::FaultPolicy::Retry, 2, 0.0),
         "retry_steps_factor");
-    sensor::SiteHealthConfig inverted;
-    inverted.temp_min_c = 100.0;
-    inverted.temp_max_c = -100.0;
-    expect_rejects(RuntimeOptions().health(inverted), "temp_min_c");
 }
 
 TEST(RuntimeOptions, EveryProjectionValidates) {
-    const RuntimeOptions bad = RuntimeOptions().redundancy(0);
+    const RuntimeOptions bad = RuntimeOptions().threads(-1);
     EXPECT_THROW(bad.sweep_runtime(), std::invalid_argument);
     EXPECT_THROW(bad.optimizer_runtime(), std::invalid_argument);
-    EXPECT_THROW(bad.monitor_config(), std::invalid_argument);
     EXPECT_THROW(bad.transient_options(), std::invalid_argument);
     EXPECT_THROW(bad.spice_ring_options(), std::invalid_argument);
     EXPECT_THROW(bad.trace_session(), std::invalid_argument);

@@ -23,7 +23,6 @@ DtmFleet session_fleet(bool supervised) {
     sensor::MonitorConfig mc = spec.monitor;
     mc.grid_nx = 24;
     mc.grid_ny = 24;
-    mc.enable_health = spec.runtime.health_enabled();
     const auto options = ControlOptions()
                              .target(95.0)
                              .trip(110.0)

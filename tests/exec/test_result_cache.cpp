@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 namespace stsense::exec {
@@ -20,14 +19,6 @@ Series make_series(double scale, std::size_t rows = 4) {
     }
     return s;
 }
-
-/// Temp-file path helper; removes the file on destruction.
-struct TempFile {
-    std::string path;
-    explicit TempFile(const std::string& name)
-        : path(testing::TempDir() + name) {}
-    ~TempFile() { std::remove(path.c_str()); }
-};
 
 TEST(ResultCache, MissThenHitReturnsTheExactCachedObject) {
     ResultCache cache;
@@ -104,38 +95,6 @@ TEST(ResultCache, ClearEmptiesTheCache) {
     EXPECT_EQ(cache.stats().entries, 0u);
     EXPECT_EQ(cache.stats().bytes, 0u);
     EXPECT_EQ(cache.find(1), nullptr);
-}
-
-TEST(ResultCache, CsvRoundTripRestoresEntriesBitwise) {
-    const TempFile file("stsense_cache_roundtrip.csv");
-    ResultCache cache;
-    (void)cache.insert(11, make_series(1.0 / 3.0));
-    (void)cache.insert(22, make_series(-2.75e-12));
-    EXPECT_EQ(cache.save_csv(file.path), 2u);
-
-    ResultCache restored;
-    EXPECT_EQ(restored.load_csv(file.path), 2u);
-    for (const std::uint64_t key : {11u, 22u}) {
-        const auto orig = cache.find(key);
-        const auto back = restored.find(key);
-        ASSERT_NE(orig, nullptr);
-        ASSERT_NE(back, nullptr);
-        EXPECT_EQ(orig->names, back->names);
-        ASSERT_EQ(orig->columns.size(), back->columns.size());
-        for (std::size_t c = 0; c < orig->columns.size(); ++c) {
-            ASSERT_EQ(orig->columns[c].size(), back->columns[c].size());
-            for (std::size_t r = 0; r < orig->columns[c].size(); ++r) {
-                // format_double is shortest-round-trip, so persistence
-                // must restore the exact bit pattern.
-                EXPECT_DOUBLE_EQ(orig->columns[c][r], back->columns[c][r]);
-            }
-        }
-    }
-}
-
-TEST(ResultCache, LoadMissingFileIsAColdStart) {
-    ResultCache cache;
-    EXPECT_EQ(cache.load_csv("/nonexistent/stsense_no_such_cache.csv"), 0u);
 }
 
 TEST(ResultCache, PublishesIntoMetricsRegistry) {

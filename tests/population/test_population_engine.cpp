@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -273,6 +274,80 @@ TEST(PopulationEngine, ValidateNamesTheField) {
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("quantiles"), std::string::npos);
     }
+}
+
+TEST(PopulationEngine, DefaultConfigValidates) {
+    EXPECT_NO_THROW(validate(PopulationConfig{}));
+}
+
+TEST(PopulationEngine, RejectionsNameTheOffendingField) {
+    const auto expect_rejects = [](const PopulationConfig& cfg,
+                                   const std::string& field) {
+        try {
+            validate(cfg);
+            FAIL() << "expected rejection naming '" << field << "'";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << "message: " << e.what();
+        }
+    };
+    PopulationConfig cfg;
+    cfg.dice = 0;
+    expect_rejects(cfg, "dice");
+    cfg.dice = 20'000'000;
+    expect_rejects(cfg, "dice");
+    cfg = {};
+    cfg.shard_size = 0;
+    expect_rejects(cfg, "shard_size");
+    cfg = {};
+    cfg.quantiles = {0.5, 1.5};
+    expect_rejects(cfg, "quantiles");
+    cfg = {};
+    cfg.cal_low_c = 100.0;
+    cfg.cal_high_c = 0.0;
+    cfg.cal_one_point_c = 50.0;
+    expect_rejects(cfg, "cal_low_c");
+    cfg = {};
+    cfg.yield_limit_c = 0.0;
+    expect_rejects(cfg, "yield_limit_c");
+    cfg = {};
+    cfg.test_temps_c = {};
+    expect_rejects(cfg, "test_temps_c");
+    cfg = {};
+    cfg.horizon_hours = -1.0;
+    expect_rejects(cfg, "horizon_hours");
+    cfg = {};
+    cfg.variation.vth_sigma = -0.01;
+    expect_rejects(cfg, "vth_sigma");
+    cfg = {};
+    cfg.aging.vth_drift_v = -0.01;
+    expect_rejects(cfg, "vth_drift_v");
+}
+
+TEST(PopulationEngine, FingerprintIsStableAndSeedSensitive) {
+    PopulationConfig cfg;
+    cfg.dice = 1000;
+    cfg.seed = 1;
+    const auto a = population_fingerprint(cfg);
+    EXPECT_EQ(population_fingerprint(cfg), a);
+    cfg.seed = 2;
+    EXPECT_NE(population_fingerprint(cfg), a);
+    // Shard boundaries are resume state, so sharding is part of the key.
+    cfg.seed = 1;
+    cfg.shard_size = 123;
+    EXPECT_NE(population_fingerprint(cfg), a);
+}
+
+TEST(PopulationEngine, CalibrationPolicyStrings) {
+    EXPECT_EQ(calibration_policy_from_string("golden"),
+              CalibrationPolicy::Golden);
+    EXPECT_EQ(calibration_policy_from_string("one_point"),
+              CalibrationPolicy::OnePoint);
+    EXPECT_EQ(calibration_policy_from_string("two_point"),
+              CalibrationPolicy::TwoPoint);
+    EXPECT_THROW(calibration_policy_from_string("bogus"),
+                 std::invalid_argument);
+    EXPECT_STREQ(to_string(CalibrationPolicy::Golden), "golden");
 }
 
 TEST(PopulationEngine, KeptCheckpointHoldsOneRowAfterAnyNumberOfShards) {

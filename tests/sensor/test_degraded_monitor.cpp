@@ -48,6 +48,27 @@ TEST(DegradedMonitor, ValidatesConfig) {
                  std::invalid_argument);
 }
 
+TEST(DegradedMonitor, RejectsHealthConfigsThatReadNoSite) {
+    // A MonitorConfig is the only route to the health config, so the
+    // monitor refuses what the supervisor refuses: either config would
+    // build a monitor whose scan measures 0 of 9 sites.
+    const auto fp = thermal::demo_floorplan();
+    const auto sites = uniform_sites(fp, 3, 3);
+    MonitorConfig cfg = resilient_config();
+    cfg.health.quorum_tol_c = std::nan("");
+    EXPECT_THROW(ThermalMonitor(phys::cmos350(), sensor_ring(), fp, sites, cfg),
+                 std::invalid_argument);
+    cfg = resilient_config();
+    cfg.health.temp_min_c = 200.0;
+    cfg.health.temp_max_c = 100.0;
+    EXPECT_THROW(ThermalMonitor(phys::cmos350(), sensor_ring(), fp, sites, cfg),
+                 std::invalid_argument);
+    // With supervision off the health config is never read.
+    cfg.enable_health = false;
+    EXPECT_NO_THROW(
+        ThermalMonitor(phys::cmos350(), sensor_ring(), fp, sites, cfg));
+}
+
 TEST(DegradedMonitor, FaultFreeScanMatchesLegacyPath) {
     MonitorConfig legacy;
     legacy.grid_nx = 24;

@@ -34,7 +34,7 @@ ThermalMonitor session_monitor(const service::SessionSpec& spec) {
     return ThermalMonitor(spec.tech, spec.ring, spec.floorplan,
                           uniform_sites(spec.floorplan, spec.sites_nx,
                                         spec.sites_ny),
-                          spec.runtime.monitor_config(spec.monitor));
+                          spec.monitor);
 }
 
 TEST(MonitorGolden, DefaultSessionScan) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace stsense::sensor {
@@ -44,6 +47,60 @@ TEST(SiteHealth, ValidatesConfig) {
     SiteHealthSupervisor ok(fast_policy(), 4);
     EXPECT_EQ(ok.size(), 4u);
     EXPECT_THROW(ok.state(4), std::out_of_range);
+}
+
+TEST(SiteHealth, RejectsConfigsTheResilientScanCannotUse) {
+    // Each of these breaks the resilient scan: a NaN quorum tolerance or
+    // an inverted band reads no site, a NaN mad_k turns the drift
+    // self-test off, and a NaN or negative watchdog margin reaches an
+    // out-of-range float-to-int cast.
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::pair<const char*,
+                                std::function<void(SiteHealthConfig&)>>>
+        cases = {
+            {"inverted band",
+             [](SiteHealthConfig& c) {
+                 c.temp_min_c = 200.0;
+                 c.temp_max_c = 100.0;
+             }},
+            {"empty band",
+             [](SiteHealthConfig& c) { c.temp_min_c = c.temp_max_c; }},
+            {"NaN temp_min_c", [&](SiteHealthConfig& c) { c.temp_min_c = nan; }},
+            {"NaN temp_max_c", [&](SiteHealthConfig& c) { c.temp_max_c = nan; }},
+            {"infinite temp_max_c",
+             [&](SiteHealthConfig& c) { c.temp_max_c = inf; }},
+            {"NaN quorum_tol_c",
+             [&](SiteHealthConfig& c) { c.quorum_tol_c = nan; }},
+            {"negative quorum_tol_c",
+             [](SiteHealthConfig& c) { c.quorum_tol_c = -1.0; }},
+            {"infinite quorum_tol_c",
+             [&](SiteHealthConfig& c) { c.quorum_tol_c = inf; }},
+            {"NaN mad_floor_c", [&](SiteHealthConfig& c) { c.mad_floor_c = nan; }},
+            {"negative mad_floor_c",
+             [](SiteHealthConfig& c) { c.mad_floor_c = -0.5; }},
+            {"NaN mad_k", [&](SiteHealthConfig& c) { c.mad_k = nan; }},
+            {"zero mad_k", [](SiteHealthConfig& c) { c.mad_k = 0.0; }},
+            {"infinite mad_k", [&](SiteHealthConfig& c) { c.mad_k = inf; }},
+            {"NaN watchdog_margin",
+             [&](SiteHealthConfig& c) { c.watchdog_margin = nan; }},
+            {"negative watchdog_margin",
+             [](SiteHealthConfig& c) { c.watchdog_margin = -4.0; }},
+            {"zero watchdog_margin",
+             [](SiteHealthConfig& c) { c.watchdog_margin = 0.0; }},
+            {"infinite watchdog_margin",
+             [&](SiteHealthConfig& c) { c.watchdog_margin = inf; }},
+        };
+    for (const auto& [what, mutate] : cases) {
+        SiteHealthConfig c = fast_policy();
+        mutate(c);
+        EXPECT_THROW(SiteHealthSupervisor(c, 4), std::invalid_argument) << what;
+    }
+    // The boundaries that stay legal: a zero tolerance and a zero floor.
+    SiteHealthConfig edge = fast_policy();
+    edge.quorum_tol_c = 0.0;
+    edge.mad_floor_c = 0.0;
+    EXPECT_NO_THROW(SiteHealthSupervisor(edge, 4));
 }
 
 TEST(SiteHealth, StrikesWalkTheLadderDown) {

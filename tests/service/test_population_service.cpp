@@ -4,13 +4,16 @@
 // cancellation with the typed `cancelled` wire error.
 #include "service/server.hpp"
 
+#include "population/engine.hpp"
 #include "service/transport.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -247,6 +250,69 @@ TEST(PopulationService, BadParamsAreRejectedTyped) {
     r = client.call(3, "population_run", c);
     ASSERT_FALSE(r.at("ok").as_bool());
     EXPECT_EQ(r.at("error").at("code").as_string(), "bad-params");
+
+    server.request_shutdown();
+    server.wait();
+}
+
+TEST(PopulationService, RecalIntervalAtOrBelowZeroMeansNever) {
+    // The session fills the engine's config itself: a positive
+    // recal_interval_hours schedules periodic re-trims, and zero or a
+    // negative interval never recalibrates (interval 0). The answer's
+    // fingerprint is the engine's hash of exactly that config.
+    ServerConfig cfg;
+    cfg.threads = 2;
+    const SessionSpec spec = small_session();
+    Server server(cfg, {spec});
+    LoopbackTransport loopback;
+    server.start(loopback);
+    Client client(loopback.connect());
+
+    const auto fingerprint_of = [&spec](double interval) {
+        population::PopulationConfig pc;
+        pc.tech = spec.tech;
+        pc.ring = spec.ring;
+        pc.dice = 200;
+        pc.shard_size = 128;
+        if (interval > 0.0) {
+            pc.recal.policy = population::RecalPolicy::Periodic;
+            pc.recal.interval_hours = interval;
+        }
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016llx",
+                      static_cast<unsigned long long>(
+                          population::population_fingerprint(pc)));
+        return std::string(hex);
+    };
+    std::int64_t id = 1;
+    for (const double interval : {0.0, -5.0, 1000.0}) {
+        Json p = population_params(200);
+        p.set("recal_interval_hours", interval);
+        const Json r = client.call(id++, "population_run", std::move(p));
+        ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
+        EXPECT_EQ(r.at("result").at("fingerprint").as_string(),
+                  fingerprint_of(interval))
+            << "interval " << interval;
+    }
+
+    // A rejected config answers with the engine's own message.
+    population::PopulationConfig bad;
+    bad.dice = 200;
+    bad.shard_size = 128;
+    bad.yield_limit_c = 0.0;
+    std::string message;
+    try {
+        population::validate(bad);
+    } catch (const std::invalid_argument& e) {
+        message = e.what();
+    }
+    ASSERT_FALSE(message.empty());
+    Json p = population_params(200);
+    p.set("yield_limit_c", 0.0);
+    const Json r = client.call(id++, "population_run", std::move(p));
+    ASSERT_FALSE(r.at("ok").as_bool());
+    EXPECT_EQ(r.at("error").at("code").as_string(), "bad-params");
+    EXPECT_EQ(r.at("error").at("message").as_string(), message);
 
     server.request_shutdown();
     server.wait();

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -286,6 +287,41 @@ TEST(ServiceRuntime, KernelNodeReportsConfigAndCounters) {
     server.wait();
 }
 
+TEST(ServiceRuntime, SessionMonitorConfigSetsHealthAndRedundancy) {
+    // SessionSpec::monitor is the only home of the monitor's health
+    // supervision and ring redundancy: the config leaves report it and
+    // the session's scans run with it.
+    ServerConfig cfg;
+    cfg.threads = 2;
+    SessionSpec spec = small_session("die-resilient");
+    spec.monitor.enable_health = true;
+    spec.monitor.redundancy = 2;
+    Server server(cfg, {spec});
+    LoopbackTransport loopback;
+    server.start(loopback);
+    Client client(loopback.connect());
+
+    Json q = Json::object();
+    q.set("path", "sessions[0].config");
+    const Json c = client.call(1, "query", std::move(q));
+    ASSERT_TRUE(c.at("ok").as_bool()) << c.dump();
+    EXPECT_TRUE(c.at("result").at("value").at("health_enabled").as_bool());
+    EXPECT_EQ(c.at("result").at("value").at("redundancy").as_int64(), 2);
+
+    Json p = Json::object();
+    p.set("session", 0);
+    const Json m = client.call(2, "thermal_map", std::move(p));
+    ASSERT_TRUE(m.at("ok").as_bool()) << m.dump();
+    const Json& readings = m.at("result").at("readings");
+    ASSERT_EQ(readings.size(), 4u);
+    for (std::size_t i = 0; i < readings.size(); ++i) {
+        EXPECT_EQ(readings.at(i).at("rings_total").as_int64(), 2) << i;
+    }
+
+    server.request_shutdown();
+    server.wait();
+}
+
 TEST(ServiceRuntime, HostileInputYieldsTypedErrorsNeverDisconnects) {
     ServerConfig cfg;
     cfg.threads = 2;
@@ -540,47 +576,48 @@ TEST(ServiceRuntime, SameSessionHeavyRequestsNeverHang) {
 }
 
 TEST(ServiceRuntime, OneSessionRunsOneJobAtATime) {
-    // Four clients keep thermal maps in flight against session 0 on a
-    // 4-worker pool. The scheduler must run them one at a time: a
-    // sampler of scheduler().executing() never sees more than 1. A
-    // request for session 1, sent while session 0 is saturated, takes a
-    // free slot and answers before session 0's backlog is done.
+    // Session 0's first job is a test method that holds the session on
+    // a latch. Four clients queue thermal maps behind it, and a probe
+    // asks session 1 for a map: the probe takes a free slot and answers
+    // while session 0 is held, and no queued session-0 map starts. Once
+    // released, the backlog runs one job at a time: a sampler of
+    // scheduler().executing() never sees more than 1.
     ServerConfig cfg;
     cfg.threads = 4;
     Server server(cfg, {small_session("die-a"), small_session("die-b")});
+    std::latch held(1);
+    std::latch release(1);
+    server.processor().register_method(
+        "hold", WeightClass::PerSession,
+        [&held, &release](const Json&, RequestContext&) -> Json {
+            held.count_down();
+            release.wait();
+            return Json::object();
+        });
     LoopbackTransport loopback;
     server.start(loopback);
-    // The probe's connection and session 1's first scan are set up
-    // before the load, so the probe itself costs one warm scan.
-    Client probe(loopback.connect());
-    Json probe_params = Json::object();
-    probe_params.set("session", 1);
-    ASSERT_TRUE(probe.call(1, "thermal_map", probe_params).at("ok").as_bool());
 
-    // A monitor solves its steady field once, so each later scan is
-    // only the readout (~0.1 ms): the backlog needs this many maps to
-    // outlast any scheduling delay of the probe.
+    // Bounded spin: a broken scheduler fails the test, never hangs it.
+    const auto wait_until = [](const auto& done) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!done() && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+        }
+        return done();
+    };
+
+    Client holder(loopback.connect());
+    Json hold_params = Json::object();
+    hold_params.set("session", 0);
+    ASSERT_TRUE(holder.send(1, "hold", std::move(hold_params)));
+    held.wait();
+
     constexpr int kClients = 4;
-    constexpr int kRequests = 200;
+    constexpr int kRequests = 20;
     constexpr int kTotal = kClients * kRequests;
     std::atomic<int> answered{0};
     std::atomic<int> answered_ok{0};
-    std::atomic<bool> sampling{false};
-    std::atomic<bool> probing{false};
-    std::atomic<bool> load_done{false};
-    std::atomic<std::size_t> max_executing{0};
-    std::thread sampler([&] {
-        sampling = true;
-        while (!load_done.load()) {
-            // Read the counter first: if `probing` still reads false
-            // afterwards, the sample predates the probe's admission.
-            const std::size_t e = server.scheduler().executing();
-            if (!probing.load() && e > max_executing.load()) max_executing = e;
-            std::this_thread::yield();
-        }
-    });
-    while (!sampling.load()) std::this_thread::yield();
-
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&loopback, &answered, &answered_ok] {
@@ -594,20 +631,37 @@ TEST(ServiceRuntime, OneSessionRunsOneJobAtATime) {
             }
         });
     }
+    // Every client's first map is queued behind the held job.
+    EXPECT_TRUE(wait_until(
+        [&] { return server.scheduler().queued() == std::size_t{kClients}; }));
 
-    // Halfway through session 0's backlog, once the sampler has seen
-    // it running, ask session 1 for a map.
-    while (answered.load() < kTotal &&
-           (answered.load() < kTotal / 2 || max_executing.load() == 0)) {
-        std::this_thread::yield();
-    }
-    probing = true;
-    const Json r = probe.call(2, "thermal_map", probe_params);
-    const int answered_at_probe = answered.load();
+    Client probe(loopback.connect());
+    Json probe_params = Json::object();
+    probe_params.set("session", 1);
+    const Json r = probe.call(1, "thermal_map", std::move(probe_params));
     EXPECT_TRUE(r.at("ok").as_bool()) << r.dump();
-    EXPECT_LT(answered_at_probe, kTotal)
-        << "session 1 waited for session 0's whole backlog";
+    // The probe's job books its completion just after its answer.
+    EXPECT_TRUE(
+        wait_until([&] { return server.scheduler().executing() <= 1; }));
+    EXPECT_EQ(answered.load(), 0) << "a map ran while its session was held";
+    EXPECT_EQ(server.scheduler().executing(), 1u);
 
+    std::atomic<bool> load_done{false};
+    std::atomic<bool> sampled{false};
+    std::atomic<std::size_t> max_executing{0};
+    std::thread sampler([&] {
+        while (!load_done.load()) {
+            const std::size_t e = server.scheduler().executing();
+            if (e > max_executing.load()) max_executing = e;
+            sampled = true;
+            std::this_thread::yield();
+        }
+    });
+    // The first sample sees the held job, so a sampler starved of CPU
+    // until the backlog is done still reads a maximum of 1.
+    while (!sampled.load()) std::this_thread::yield();
+    release.count_down();
+    EXPECT_TRUE(holder.await(1).at("ok").as_bool());
     for (auto& t : clients) t.join();
     load_done = true;
     sampler.join();
