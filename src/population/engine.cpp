@@ -75,43 +75,6 @@ void validate_part(const char* field, Fn&& fn) {
     }
 }
 
-void add_mosfet(exec::Fingerprint& fp, const phys::MosfetParams& p) {
-    fp.add(static_cast<int>(p.type))
-        .add(p.vth0)
-        .add(p.alpha)
-        .add(p.kp)
-        .add(p.mobility_exp)
-        .add(p.vth_tc)
-        .add(p.lambda)
-        .add(p.vdsat_coeff)
-        .add(p.t0)
-        .add(p.smoothing)
-        .add(p.cgate_per_w)
-        .add(p.cdrain_per_w);
-}
-
-void add_technology(exec::Fingerprint& fp, const phys::Technology& tech) {
-    fp.add(tech.vdd)
-        .add(tech.lmin)
-        .add(tech.wmin)
-        .add(tech.unit_nmos_width)
-        .add(tech.library_ratio)
-        .add(tech.wire_cap_per_stage);
-    add_mosfet(fp, tech.nmos);
-    add_mosfet(fp, tech.pmos);
-}
-
-void add_ring(exec::Fingerprint& fp, const ring::RingConfig& config) {
-    fp.add(static_cast<std::uint64_t>(config.stages.size()));
-    for (const cells::CellSpec& s : config.stages) {
-        fp.add(static_cast<int>(s.kind))
-            .add(s.drive)
-            .add(s.ratio)
-            .add(static_cast<int>(s.tie))
-            .add(s.vth_shift_v);
-    }
-}
-
 /// Per-die period source: the analytic model always (it is also the
 /// spice fallback), plus the transient engine when requested. The
 /// analytic ring binds its stages once, at construction. Periods are
@@ -123,7 +86,7 @@ public:
     DiePeriods(const PopulationConfig& cfg, const phys::Technology& tech,
                const ring::RingConfig& ring_cfg)
         : cfg_(&cfg), analytic_(tech, ring_cfg) {
-        if (cfg.engine == PeriodEngine::Spice) {
+        if (cfg.engine == ring::Engine::Spice) {
             spice_.emplace(tech, ring_cfg);
         }
         // Every temperature a die asks one ring for: the test grid plus
@@ -326,8 +289,7 @@ void validate(const PopulationConfig& config) {
 std::uint64_t population_fingerprint(const PopulationConfig& config) {
     exec::Fingerprint fp;
     fp.add(std::uint64_t{0x706f7075'6c617431ULL}); // "popula1" format salt.
-    add_technology(fp, config.tech);
-    add_ring(fp, config.ring);
+    ring::fingerprint_ring(fp, config.tech, config.ring);
     fp.add(static_cast<int>(config.corner))
         .add(config.corner_spec.vth_shift)
         .add(config.corner_spec.kp_rel)
@@ -359,16 +321,8 @@ std::uint64_t population_fingerprint(const PopulationConfig& config) {
         .add(std::span<const double>(config.quantiles))
         .add(config.dice)
         .add(static_cast<std::uint64_t>(config.shard_size))
-        .add(config.seed)
-        .add(static_cast<int>(config.engine));
-    if (config.engine == PeriodEngine::Spice) {
-        fp.add(config.spice.skip_cycles)
-            .add(config.spice.measure_cycles)
-            .add(config.spice.steps_per_period)
-            .add(config.spice.estimate_margin)
-            .add(config.spice.enable_recovery)
-            .add(config.spice.early_exit);
-    }
+        .add(config.seed);
+    ring::fingerprint_engine(fp, config.engine, config.spice);
     return fp.value();
 }
 
@@ -378,6 +332,8 @@ DieEvaluator::DieEvaluator(const PopulationConfig& config)
                                    config.corner_spec)),
       stream_(cornered_, config.variation, util::Rng(config.seed)) {
     validate(config_);
+    // Dice read only the period, never the probe trace.
+    config_.spice.record_waveform = false;
     // Golden calibration: the datasheet characterization of the nominal
     // (un-cornered, un-varied) device — what a budget-0 flow ships to
     // every die.
@@ -490,11 +446,6 @@ std::array<double, kMetricCount> DieEvaluator::evaluate(
     out[static_cast<int>(Metric::PeriodAtRefNs)] = fresh.at_c(25.0) * 1e9;
     out[static_cast<int>(Metric::GainCPerCode)] = cal.gain();
     return out;
-}
-
-std::array<double, kMetricCount> evaluate_die(const PopulationConfig& config,
-                                              std::uint64_t die) {
-    return DieEvaluator(config).evaluate(die);
 }
 
 PopulationResult run_population(const PopulationConfig& config,

@@ -36,6 +36,7 @@
 #include "population/streaming_stats.hpp"
 #include "ring/config.hpp"
 #include "ring/spice_ring.hpp"
+#include "ring/sweep.hpp"
 
 #include <array>
 #include <cstddef>
@@ -63,12 +64,6 @@ CalibrationPolicy calibration_policy_from_string(const std::string& name);
 enum class RecalPolicy : int {
     Never = 0,    ///< Ship-and-forget: the fresh calibration serves for life.
     Periodic = 1, ///< One-point offset re-trim every interval_hours.
-};
-
-/// Period engine per die.
-enum class PeriodEngine : int {
-    Analytic = 0, ///< Closed-form ring model (the population default).
-    Spice = 1,    ///< Transient simulation (expensive; cross-check runs).
 };
 
 /// Recalibration schedule.
@@ -131,7 +126,9 @@ struct PopulationConfig {
     std::size_t shard_size = 1024;///< Dice folded per checkpoint unit.
     std::uint64_t seed = 1;       ///< Root of every per-die substream.
 
-    PeriodEngine engine = PeriodEngine::Analytic;
+    /// Period engine per die. Spice is the expensive cross-check; a die
+    /// whose transient fails falls back to the analytic period.
+    ring::Engine engine = ring::Engine::Analytic;
     ring::SpiceRingOptions spice; ///< Used when engine == Spice.
 };
 
@@ -222,10 +219,6 @@ private:
     phys::VariationStream stream_;       ///< Die-to-die variation source.
     analysis::LinearCalibration golden_; ///< Shared two-point calibration.
 };
-
-/// Convenience wrapper: DieEvaluator(config).evaluate(die).
-std::array<double, kMetricCount> evaluate_die(const PopulationConfig& config,
-                                              std::uint64_t die);
 
 /// Runs the sharded study. Shards evaluate in parallel internally but
 /// fold sequentially in ascending die order; see the header comment for

@@ -18,6 +18,20 @@
 
 namespace stsense::ring {
 
+const char* to_string(Engine engine) {
+    switch (engine) {
+        case Engine::Analytic: return "analytic";
+        case Engine::Spice: return "spice";
+    }
+    return "unknown";
+}
+
+Engine engine_from_string(const std::string& name) {
+    if (name == "analytic") return Engine::Analytic;
+    if (name == "spice") return Engine::Spice;
+    throw std::invalid_argument("'engine' must be \"analytic\" or \"spice\"");
+}
+
 const char* to_string(FaultPolicy policy) {
     switch (policy) {
         case FaultPolicy::Propagate: return "propagate";
@@ -108,21 +122,6 @@ void validate_grid(std::span<const double> temps_c) {
         }
         prev = t;
     }
-}
-
-void add_mosfet(exec::Fingerprint& fp, const phys::MosfetParams& p) {
-    fp.add(static_cast<int>(p.type))
-        .add(p.vth0)
-        .add(p.alpha)
-        .add(p.kp)
-        .add(p.mobility_exp)
-        .add(p.vth_tc)
-        .add(p.lambda)
-        .add(p.vdsat_coeff)
-        .add(p.t0)
-        .add(p.smoothing)
-        .add(p.cgate_per_w)
-        .add(p.cdrain_per_w);
 }
 
 /// One evaluated grid point.
@@ -402,33 +401,42 @@ std::vector<std::size_t> lockstep_groups(std::size_t n, std::size_t max_width,
     return bounds;
 }
 
-std::uint64_t sweep_fingerprint(const phys::Technology& tech,
-                                const RingConfig& config,
-                                std::span<const double> temps_c, Engine engine,
-                                const SpiceRingOptions& spice_opt,
-                                const FaultPolicySpec& fault) {
-    exec::Fingerprint fp;
-    fp.add(std::uint64_t{0x73747333}); // Key-format version salt.
+void fingerprint_ring(exec::Fingerprint& fp, const phys::Technology& tech,
+                      const RingConfig& config) {
     fp.add(tech.vdd)
         .add(tech.lmin)
         .add(tech.wmin)
         .add(tech.unit_nmos_width)
         .add(tech.library_ratio)
         .add(tech.wire_cap_per_stage);
-    add_mosfet(fp, tech.nmos);
-    add_mosfet(fp, tech.pmos);
+    for (const phys::MosfetParams* p : {&tech.nmos, &tech.pmos}) {
+        fp.add(static_cast<int>(p->type))
+            .add(p->vth0)
+            .add(p->alpha)
+            .add(p->kp)
+            .add(p->mobility_exp)
+            .add(p->vth_tc)
+            .add(p->lambda)
+            .add(p->vdsat_coeff)
+            .add(p->t0)
+            .add(p->smoothing)
+            .add(p->cgate_per_w)
+            .add(p->cdrain_per_w);
+    }
     fp.add(static_cast<std::uint64_t>(config.stages.size()));
-    for (const auto& s : config.stages) {
+    for (const cells::CellSpec& s : config.stages) {
         fp.add(static_cast<int>(s.kind))
             .add(s.drive)
             .add(s.ratio)
             .add(static_cast<int>(s.tie))
             .add(s.vth_shift_v);
     }
+}
+
+void fingerprint_engine(exec::Fingerprint& fp, Engine engine,
+                        const SpiceRingOptions& spice_opt) {
     fp.add(static_cast<int>(engine));
     if (engine == Engine::Spice) {
-        // Only the options that shape the result; record_waveform is
-        // forced off for sweeps and estimate-identical runs match.
         fp.add(spice_opt.skip_cycles)
             .add(spice_opt.measure_cycles)
             .add(spice_opt.steps_per_period)
@@ -436,14 +444,22 @@ std::uint64_t sweep_fingerprint(const phys::Technology& tech,
             .add(spice_opt.enable_recovery)
             .add(spice_opt.max_wall_ms)
             .add(static_cast<std::int64_t>(spice_opt.max_total_newton_iters));
-        // Fast-kernel knobs change the computed values, so a fast sweep
-        // and a seed-identical sweep must not alias in the cache.
-        // lockstep_width is deliberately absent: lock-step carries a
-        // parity contract with the solo run, so toggling it must hit
-        // the same cache entry.
+        // Fast-kernel knobs change the computed values, so a fast run
+        // and a seed-identical run must not alias.
         const spice::TransientOptions& k = spice_opt.kernel;
         fp.add(k.reuse_lu).add(k.bypass_tol_v).add(spice_opt.early_exit);
     }
+}
+
+std::uint64_t sweep_fingerprint(const phys::Technology& tech,
+                                const RingConfig& config,
+                                std::span<const double> temps_c, Engine engine,
+                                const SpiceRingOptions& spice_opt,
+                                const FaultPolicySpec& fault) {
+    exec::Fingerprint fp;
+    fp.add(std::uint64_t{0x73747333}); // Key-format version salt.
+    fingerprint_ring(fp, tech, config);
+    fingerprint_engine(fp, engine, spice_opt);
     // The fault policy shapes the values of points that fail, so it is
     // part of the key (a Skip series and a Fallback series of the same
     // circuit must not alias).
@@ -468,11 +484,11 @@ SweepResult temperature_sweep(const phys::Technology& tech,
     exec::CancelScope cancel_scope(runtime.cancel);
 
     auto& metrics = exec::MetricsRegistry::global();
-    const exec::ScopedTimer timer(metrics.timer(
-        engine == Engine::Analytic ? "ring.sweep.analytic" : "ring.sweep.spice"));
+    const exec::ScopedTimer timer(
+        metrics.timer(std::string("ring.sweep.") + to_string(engine)));
 
     obs::Span span("ring.sweep");
-    span.tag("engine", engine == Engine::Analytic ? "analytic" : "spice");
+    span.tag("engine", to_string(engine));
     span.tag("policy", to_string(runtime.fault.policy));
     span.num("points", static_cast<double>(temps_c.size()));
 
@@ -526,13 +542,9 @@ SweepResult temperature_sweep(const phys::Technology& tech,
     out.temps_c = series->columns[0];
     out.period_s = series->columns[1];
     out.frequency_hz = series->columns[2];
-    if (series->columns.size() > 3) {
-        out.status.reserve(series->columns[3].size());
-        for (double v : series->columns[3]) {
-            out.status.push_back(static_cast<PointStatus>(static_cast<int>(v)));
-        }
-    } else {
-        out.status.assign(out.temps_c.size(), PointStatus::Ok);
+    out.status.reserve(series->columns[3].size());
+    for (double v : series->columns[3]) {
+        out.status.push_back(static_cast<PointStatus>(static_cast<int>(v)));
     }
     return out;
 }

@@ -22,6 +22,7 @@
 #pragma once
 
 #include "exec/cancel.hpp"
+#include "exec/fingerprint.hpp"
 #include "exec/result_cache.hpp"
 #include "exec/thread_pool.hpp"
 #include "phys/technology.hpp"
@@ -30,15 +31,36 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace stsense::ring {
 
-/// Which period engine runs the sweep.
+/// Which period engine computes a ring's periods — the one engine axis
+/// of sweeps, the optimizer, the population study and the service.
 enum class Engine {
     Analytic, ///< Closed-form delay model (fast; default for sweeps).
     Spice,    ///< Transistor-level transient simulation.
 };
+
+/// Engine name as used in metric names, trace tags and on the wire
+/// ("analytic", "spice").
+const char* to_string(Engine engine);
+/// Inverse of to_string(Engine). Throws std::invalid_argument
+/// ("'engine' must be \"analytic\" or \"spice\"") for any other name.
+Engine engine_from_string(const std::string& name);
+
+/// Feeds `fp` every technology and per-stage parameter that shapes a
+/// ring's period, in a fixed order. The one hash of (technology, ring)
+/// behind every fingerprint that keys periods.
+void fingerprint_ring(exec::Fingerprint& fp, const phys::Technology& tech,
+                      const RingConfig& config);
+/// Feeds `fp` the engine and, for Engine::Spice, every SpiceRingOptions
+/// field that shapes the period. record_waveform is left out (period
+/// consumers run with it off) and so is kernel.lockstep_width (lock-step
+/// is bitwise the solo run).
+void fingerprint_engine(exec::Fingerprint& fp, Engine engine,
+                        const SpiceRingOptions& spice_opt);
 
 /// What the sweep does with a point whose evaluation fails.
 enum class FaultPolicy {

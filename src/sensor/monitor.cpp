@@ -33,6 +33,32 @@ SiteFault fault_of(const stsense::Error& e) {
     }
 }
 
+/// The resilient scan's per-measurement deadline in ref cycles:
+/// health.watchdog_cycles, or when 0, a generous multiple of the nominal
+/// measurement length at the hot end of the plausible band — long
+/// enough that no healthy ring ever trips it, short enough that a
+/// stuck-slow ring is aborted ~10^4x sooner than its gated count would
+/// complete.
+std::uint64_t watchdog_deadline(const MonitorConfig& config,
+                                const SmartTemperatureSensor& nominal) {
+    const SiteHealthConfig& hc = config.health;
+    if (hc.watchdog_cycles != 0) return hc.watchdog_cycles;
+    const double t_meas = digital::measurement_time(
+        config.sensor_options.gate,
+        nominal.period_at(nominal.junction_at(hc.temp_max_c)));
+    const double cycles =
+        t_meas * config.sensor_options.gate.ref_freq_hz +
+        static_cast<double>(config.sensor_options.settle_cycles);
+    const double deadline = hc.watchdog_margin * cycles;
+    // Written to fail on NaN too; below 2^63 the cast and the +16 fit.
+    if (!(deadline < 0x1p63)) {
+        throw std::invalid_argument(
+            "ThermalMonitor: health.watchdog_margin x the nominal "
+            "measurement length must be below 2^63 ref cycles");
+    }
+    return static_cast<std::uint64_t>(deadline) + 16;
+}
+
 } // namespace
 
 const char* to_string(SiteConfidence confidence) {
@@ -99,6 +125,7 @@ ThermalMonitor::ThermalMonitor(const phys::Technology& tech,
 
     if (config_.enable_health) {
         supervisor_ = SiteHealthSupervisor(config_.health, sites_.size());
+        watchdog_cycles_ = watchdog_deadline(config_, sensor_);
     }
 }
 
@@ -321,28 +348,11 @@ MapResult ThermalMonitor::scan_resilient(std::vector<double> field_c) const {
         }
     }
 
-    // Watchdog deadline: by default a generous multiple of the nominal
-    // measurement length at the hot end of the plausible band — long
-    // enough that no healthy ring ever trips it, short enough that a
-    // stuck-slow ring is aborted ~10^4x sooner than its gated count
-    // would complete.
-    std::uint64_t watchdog = hc.watchdog_cycles;
-    if (watchdog == 0) {
-        const double t_meas = digital::measurement_time(
-            config_.sensor_options.gate,
-            sensor_.period_at(sensor_.junction_at(hc.temp_max_c)));
-        const double cycles =
-            t_meas * config_.sensor_options.gate.ref_freq_hz +
-            static_cast<double>(config_.sensor_options.settle_cycles);
-        watchdog =
-            static_cast<std::uint64_t>(hc.watchdog_margin * cycles) + 16;
-    }
-
     digital::SmartUnitConfig unit_cfg;
     unit_cfg.gate = config_.sensor_options.gate;
     unit_cfg.num_channels = static_cast<int>(n_rings);
     unit_cfg.settle_cycles = config_.sensor_options.settle_cycles;
-    unit_cfg.watchdog_cycles = watchdog;
+    unit_cfg.watchdog_cycles = watchdog_cycles_;
     digital::SmartUnit unit(unit_cfg, [&](int channel) {
         const auto g = static_cast<std::size_t>(channel);
         return ring_finite[g] != 0 ? ring_period[g] : site_fallback[g / reps];

@@ -121,7 +121,10 @@ class ThermalMonitor {
 public:
     /// All sensors share `ring_config` (identical layout macros) and the
     /// factory calibration from `config`. Sites must be on the die (a
-    /// NaN coordinate is not); std::invalid_argument otherwise.
+    /// NaN coordinate is not), and with enable_health the watchdog
+    /// deadline (health.watchdog_margin x the nominal measurement
+    /// length) must be below 2^63 ref cycles; std::invalid_argument
+    /// otherwise.
     ThermalMonitor(const phys::Technology& tech, ring::RingConfig ring_config,
                    thermal::Floorplan floorplan, std::vector<SensorSite> sites,
                    MonitorConfig config = {});
@@ -173,6 +176,8 @@ private:
     /// Health ledger across scans (resilient mode); scan() is logically
     /// const but advances the supervisor's epoch and site states.
     mutable SiteHealthSupervisor supervisor_;
+    /// Resilient-scan watchdog deadline, fixed at construction.
+    std::uint64_t watchdog_cycles_ = 0;
     /// The floorplan's steady field, solved once by the first scan().
     mutable std::once_flag steady_once_;
     mutable std::vector<double> steady_c_;

@@ -19,6 +19,9 @@ namespace stsense::sensor {
 
 namespace {
 
+/// The engine every candidate is ranked on.
+constexpr ring::Engine kEngine = ring::Engine::Analytic;
+
 // Candidate evaluations parallelize across configurations, so each
 // inner sweep runs serially (no nested fan-out) but still memoizes into
 // the global cache — re-evaluated configurations (golden-section
@@ -32,8 +35,8 @@ ring::SweepRuntime candidate_runtime(const ring::FaultPolicySpec& fault) {
 
 double nl_of_config(const phys::Technology& tech, const ring::RingConfig& cfg,
                     const ring::FaultPolicySpec& fault) {
-    const auto sweep = ring::paper_sweep(tech, cfg, ring::Engine::Analytic, {},
-                                         candidate_runtime(fault));
+    const auto sweep =
+        ring::paper_sweep(tech, cfg, kEngine, {}, candidate_runtime(fault));
     if (sweep.complete()) {
         return analysis::max_nonlinearity_percent(sweep.temps_c, sweep.period_s);
     }
@@ -82,8 +85,8 @@ std::vector<std::array<double, 2>> eval_candidates(
         f.add(salt);
         const auto grid = ring::paper_temperature_grid_c();
         for (const auto& cfg : configs) {
-            f.add(ring::sweep_fingerprint(tech, cfg, grid,
-                                          ring::Engine::Analytic, {}, rt.fault));
+            f.add(ring::sweep_fingerprint(tech, cfg, grid, kEngine, {},
+                                          rt.fault));
         }
         fp = f.value();
     }
@@ -118,17 +121,6 @@ std::vector<std::array<double, 2>> eval_candidates(
 }
 
 } // namespace
-
-std::vector<RatioPoint> ratio_sweep(const phys::Technology& tech,
-                                    cells::CellKind kind, int n_stages,
-                                    std::span<const double> ratios,
-                                    exec::ThreadPool* pool,
-                                    const ring::FaultPolicySpec& fault) {
-    OptimizerRuntime rt;
-    rt.pool = pool;
-    rt.fault = fault;
-    return ratio_sweep(tech, kind, n_stages, ratios, rt);
-}
 
 std::vector<RatioPoint> ratio_sweep(const phys::Technology& tech,
                                     cells::CellKind kind, int n_stages,
@@ -229,16 +221,6 @@ void enumerate_rec(std::span<const cells::CellKind> kinds, std::size_t from,
 }
 
 } // namespace
-
-std::vector<MixCandidate> enumerate_mixes(const phys::Technology& tech,
-                                          std::span<const cells::CellKind> kinds,
-                                          int n_stages, exec::ThreadPool* pool,
-                                          const ring::FaultPolicySpec& fault) {
-    OptimizerRuntime rt;
-    rt.pool = pool;
-    rt.fault = fault;
-    return enumerate_mixes(tech, kinds, n_stages, rt);
-}
 
 std::vector<MixCandidate> enumerate_mixes(const phys::Technology& tech,
                                           std::span<const cells::CellKind> kinds,

@@ -52,26 +52,18 @@ struct RatioPoint {
 
 /// Non-linearity (max |NL| % over the paper grid) of an n-stage ring of
 /// `kind` cells at each Wp/Wn ratio. Candidates evaluate concurrently on
-/// `pool` (nullptr: the global pool); results are committed by candidate
-/// index, so the output is identical at any thread count.
+/// `runtime.pool` (nullptr: the global pool); results are committed by
+/// candidate index, so the output is identical at any thread count.
 ///
-/// `fault` is the per-point policy of each candidate's inner temperature
-/// sweep. Partial sweeps (Skip / exhausted Retry) are consumed
-/// gracefully: the NL figure is computed over the valid points, and a
-/// candidate with fewer than 3 valid points ranks as +infinity instead
-/// of aborting the search.
+/// `runtime.fault` is the per-point policy of each candidate's inner
+/// temperature sweep. Partial sweeps (Skip / exhausted Retry) are
+/// consumed gracefully: the NL figure is computed over the valid points,
+/// and a candidate with fewer than 3 valid points ranks as +infinity
+/// instead of aborting the search.
 std::vector<RatioPoint> ratio_sweep(const phys::Technology& tech,
                                     cells::CellKind kind, int n_stages,
                                     std::span<const double> ratios,
-                                    exec::ThreadPool* pool = nullptr,
-                                    const ring::FaultPolicySpec& fault = {});
-
-/// Runtime-taking form: adds checkpoint/resume of the per-ratio
-/// evaluations on top of the signature above.
-std::vector<RatioPoint> ratio_sweep(const phys::Technology& tech,
-                                    cells::CellKind kind, int n_stages,
-                                    std::span<const double> ratios,
-                                    const OptimizerRuntime& runtime);
+                                    const OptimizerRuntime& runtime = {});
 
 /// Continuous optimum found by golden-section search on max |NL|(ratio).
 struct RatioOptimum {
@@ -102,19 +94,12 @@ struct MixCandidate {
 /// sorted by ascending non-linearity. This is the "select an adequate
 /// set of standard logic gates" search of the paper's abstract.
 /// Enumeration order and the (stable) sort are deterministic; candidate
-/// rings evaluate concurrently on `pool` (nullptr: the global pool).
+/// rings evaluate concurrently on `runtime.pool` (nullptr: the global
+/// pool). A checkpoint persists only the per-candidate figures: the
+/// enumeration itself is cheap and deterministic.
 std::vector<MixCandidate> enumerate_mixes(const phys::Technology& tech,
                                           std::span<const cells::CellKind> kinds,
                                           int n_stages,
-                                          exec::ThreadPool* pool = nullptr,
-                                          const ring::FaultPolicySpec& fault = {});
-
-/// Runtime-taking form: adds checkpoint/resume of the per-candidate
-/// evaluations (the enumeration itself is cheap and deterministic, so
-/// only the expensive figures are persisted).
-std::vector<MixCandidate> enumerate_mixes(const phys::Technology& tech,
-                                          std::span<const cells::CellKind> kinds,
-                                          int n_stages,
-                                          const OptimizerRuntime& runtime);
+                                          const OptimizerRuntime& runtime = {});
 
 } // namespace stsense::sensor

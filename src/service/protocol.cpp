@@ -92,6 +92,52 @@ std::int64_t salvage_id(const std::string& line) {
     return 0;
 }
 
+namespace {
+
+[[noreturn]] void bad_type(const char* key, const char* type) {
+    throw ServiceError(ErrorCode::BadParams,
+                       std::string("param '") + key + "' must be " + type);
+}
+
+} // namespace
+
+double require_finite(const Json& params, const char* key, double fallback) {
+    const Json& v = params.at(key);
+    const double d = v.is_null() ? fallback : v.as_double(std::nan(""));
+    if (!std::isfinite(d)) bad_type(key, "a finite number");
+    return d;
+}
+
+int require_int(const Json& params, const char* key, int fallback, int lo,
+                int hi) {
+    const Json& v = params.at(key);
+    if (v.is_null()) return fallback;
+    if (!v.is_number()) bad_type(key, "a number");
+    const int n = v.as_int();
+    if (n < lo || n > hi) {
+        throw ServiceError(ErrorCode::BadParams,
+                           std::string("param '") + key + "' out of range [" +
+                               std::to_string(lo) + ", " + std::to_string(hi) +
+                               "]");
+    }
+    return n;
+}
+
+bool require_bool(const Json& params, const char* key, bool fallback) {
+    const Json& v = params.at(key);
+    if (v.is_null()) return fallback;
+    if (!v.is_bool()) bad_type(key, "a boolean");
+    return v.as_bool();
+}
+
+std::string require_string(const Json& params, const char* key,
+                           const std::string& fallback) {
+    const Json& v = params.at(key);
+    if (v.is_null()) return fallback;
+    if (!v.is_string()) bad_type(key, "a string");
+    return v.as_string();
+}
+
 std::string make_ok_response(std::int64_t id, Json result) {
     Json doc = Json::object();
     doc.set("id", id);

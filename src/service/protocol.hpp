@@ -18,6 +18,7 @@
 #include "service/json.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -50,6 +51,19 @@ public:
 private:
     ErrorCode code_;
 };
+
+/// Typed reads of one request param. An absent or null param gives
+/// `fallback`; a present one of another JSON type throws
+/// ServiceError(BadParams) naming the param, so a mistyped value is
+/// never read as the default.
+double require_finite(const Json& params, const char* key, double fallback);
+/// Truncated and saturated as Json::as_int, then checked against [lo, hi].
+int require_int(const Json& params, const char* key, int fallback,
+                int lo = std::numeric_limits<int>::min(),
+                int hi = std::numeric_limits<int>::max());
+bool require_bool(const Json& params, const char* key, bool fallback);
+std::string require_string(const Json& params, const char* key,
+                           const std::string& fallback = {});
 
 /// One parsed request.
 struct Request {

@@ -460,12 +460,8 @@ void Server::register_builtin_methods() {
         "hello", WeightClass::Light,
         [this](const Json& params, RequestContext& ctx) -> Json {
             int weight = config_.default_client_weight;
-            if (params.contains("weight")) {
-                if (!params.at("weight").is_number()) {
-                    throw ServiceError(ErrorCode::BadParams,
-                                       "param 'weight' must be a number");
-                }
-                weight = std::clamp(params.at("weight").as_int(1), 1, 64);
+            if (!params.at("weight").is_null()) {
+                weight = std::clamp(require_int(params, "weight", weight), 1, 64);
                 if (ctx.client >= 0) {
                     scheduler_->set_weight(ctx.client, weight);
                 }
@@ -498,9 +494,9 @@ void Server::register_builtin_methods() {
         "query", WeightClass::Light,
         [this](const Json& params, RequestContext&) -> Json {
             QueryOptions opt;
-            opt.depth = std::clamp(params.at("depth").as_int(opt.depth), 0, 64);
-            opt.filter = params.at("filter").as_string();
-            const std::string& path = params.at("path").as_string();
+            opt.depth = std::clamp(require_int(params, "depth", opt.depth), 0, 64);
+            opt.filter = require_string(params, "filter");
+            const std::string path = require_string(params, "path");
             auto res = query_model(root_, path, opt);
             if (!res.ok) {
                 throw ServiceError(ErrorCode::UnknownPath, res.error);
@@ -519,9 +515,9 @@ void Server::register_builtin_methods() {
                                    "subscribe requires a connection");
             }
             QueryOptions opt;
-            opt.depth = std::clamp(params.at("depth").as_int(opt.depth), 0, 64);
-            opt.filter = params.at("filter").as_string();
-            const std::string& path = params.at("path").as_string();
+            opt.depth = std::clamp(require_int(params, "depth", opt.depth), 0, 64);
+            opt.filter = require_string(params, "filter");
+            const std::string path = require_string(params, "path");
             auto res = query_model(root_, path, opt);
             if (!res.ok) {
                 throw ServiceError(ErrorCode::UnknownPath, res.error);
@@ -567,7 +563,7 @@ void Server::register_builtin_methods() {
     processor_.register_method(
         "shutdown", WeightClass::Light,
         [this](const Json& params, RequestContext&) -> Json {
-            const std::string mode = params.at("mode").as_string("drain");
+            const std::string mode = require_string(params, "mode", "drain");
             if (mode != "drain" && mode != "now") {
                 throw ServiceError(ErrorCode::BadParams,
                                    "param 'mode' must be \"drain\" or \"now\"");

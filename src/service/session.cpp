@@ -50,35 +50,6 @@ std::uint64_t fnv1a(const std::string& s) {
     return h;
 }
 
-double require_finite(const Json& params, const char* key, double fallback) {
-    const Json& v = params.at(key);
-    const double d = v.is_null() ? fallback : v.as_double(std::nan(""));
-    if (!std::isfinite(d)) {
-        throw ServiceError(ErrorCode::BadParams,
-                           std::string("param '") + key +
-                               "' must be a finite number");
-    }
-    return d;
-}
-
-int require_int(const Json& params, const char* key, int fallback, int lo,
-                int hi) {
-    const Json& v = params.at(key);
-    if (v.is_null()) return fallback;
-    if (!v.is_number()) {
-        throw ServiceError(ErrorCode::BadParams,
-                           std::string("param '") + key + "' must be a number");
-    }
-    const int n = v.as_int();
-    if (n < lo || n > hi) {
-        throw ServiceError(ErrorCode::BadParams,
-                           std::string("param '") + key + "' out of range [" +
-                               std::to_string(lo) + ", " + std::to_string(hi) +
-                               "]");
-    }
-    return n;
-}
-
 /// Points a job's checkpoint at `<spool_dir>/<kind>_<key hex>.ckpt`
 /// with the session's flush cadence, or turns checkpointing off when
 /// the server has no spool dir. The key names the request (a sweep or
@@ -295,7 +266,7 @@ Json Session::measure_site(const Json& params) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     measures_.fetch_add(1, std::memory_order_relaxed);
     const Json& which = params.at("site");
-    const bool fresh = params.at("fresh").as_bool(false);
+    const bool fresh = require_bool(params, "fresh", false);
 
     std::size_t index = sites_.size();
     if (which.is_number()) {
@@ -358,13 +329,12 @@ Json Session::sweep(const Json& params) {
                            "'t_max_c' must exceed 't_min_c'");
     }
     const int points = require_int(params, "points", 17, 2, 4096);
-    const std::string engine_name = params.at("engine").as_string("analytic");
     ring::Engine engine = ring::Engine::Analytic;
-    if (engine_name == "spice") {
-        engine = ring::Engine::Spice;
-    } else if (engine_name != "analytic") {
-        throw ServiceError(ErrorCode::BadParams,
-                           "param 'engine' must be \"analytic\" or \"spice\"");
+    try {
+        engine = ring::engine_from_string(
+            require_string(params, "engine", ring::to_string(engine)));
+    } catch (const std::invalid_argument& e) {
+        throw ServiceError(ErrorCode::BadParams, std::string("param ") + e.what());
     }
 
     const auto temps = linspace(lo, hi, points);
@@ -401,7 +371,7 @@ Json Session::sweep(const Json& params) {
 
     Json result = Json::object();
     result.set("session", id_);
-    result.set("engine", engine_name);
+    result.set("engine", ring::to_string(engine));
     result.set("fingerprint", hex64(fp));
     result.set("temps_c", std::move(temps_j));
     result.set("period_s", std::move(period_j));
@@ -475,7 +445,7 @@ Json Session::dtm_run(const Json& params) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     dtm_runs_.fetch_add(1, std::memory_order_relaxed);
 
-    const bool supervised = params.at("supervised").as_bool(true);
+    const bool supervised = require_bool(params, "supervised", true);
     const double duration = require_finite(params, "duration_s", 0.75);
     const double target = require_finite(params, "target_c", 95.0);
     const double trip = require_finite(params, "trip_c", 110.0);
@@ -557,8 +527,8 @@ Json Session::population_run(const Json& params) {
     const int shard = require_int(params, "shard", 1024, 16, 65536);
     const int seed = require_int(params, "seed", 1, 0, 1 << 30);
     const std::string cal_name =
-        params.at("calibration").as_string("two_point");
-    const std::string corner_name = params.at("corner").as_string("TT");
+        require_string(params, "calibration", "two_point");
+    const std::string corner_name = require_string(params, "corner", "TT");
     const double horizon = require_finite(params, "horizon_hours", 10000.0);
     const double recal_interval =
         require_finite(params, "recal_interval_hours", 0.0);

@@ -115,13 +115,34 @@ TEST(ExecDeterminism, FingerprintSeparatesDifferentInputs) {
               ring::sweep_fingerprint(tech_ff, cfg_a, grid, ring::Engine::Analytic));
 }
 
+/// Runs `search` on `pool` after emptying the global sweep cache, and
+/// checks that every one of its `candidates` sweeps was a cache miss —
+/// so two legs compare two computations, not one result with itself.
+template <class Search>
+auto computed_on(exec::ThreadPool& pool, std::size_t candidates,
+                 const Search& search) {
+    auto& cache = exec::ResultCache::global();
+    cache.clear();
+    const auto before = cache.stats();
+    sensor::OptimizerRuntime rt;
+    rt.pool = &pool;
+    auto out = search(rt);
+    const auto after = cache.stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses - before.misses, candidates);
+    return out;
+}
+
 TEST(ExecDeterminism, RatioSweepIdenticalAcrossThreadCounts) {
     const auto tech = phys::cmos350();
     const std::vector<double> ratios{1.75, 2.25, 3.0, 4.0};
     exec::ThreadPool one(1);
     exec::ThreadPool many(4);
-    const auto a = sensor::ratio_sweep(tech, CellKind::Inv, 5, ratios, &one);
-    const auto b = sensor::ratio_sweep(tech, CellKind::Inv, 5, ratios, &many);
+    const auto search = [&](const sensor::OptimizerRuntime& rt) {
+        return sensor::ratio_sweep(tech, CellKind::Inv, 5, ratios, rt);
+    };
+    const auto a = computed_on(one, ratios.size(), search);
+    const auto b = computed_on(many, ratios.size(), search);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].ratio, b[i].ratio);
@@ -135,8 +156,12 @@ TEST(ExecDeterminism, MixEnumerationIdenticalAcrossThreadCounts) {
     const std::vector<CellKind> kinds{CellKind::Inv, CellKind::Nand2, CellKind::Nor2};
     exec::ThreadPool one(1);
     exec::ThreadPool many(4);
-    const auto a = sensor::enumerate_mixes(tech, kinds, 5, &one);
-    const auto b = sensor::enumerate_mixes(tech, kinds, 5, &many);
+    const auto search = [&](const sensor::OptimizerRuntime& rt) {
+        return sensor::enumerate_mixes(tech, kinds, 5, rt);
+    };
+    // 21 multisets of 5 stages over 3 kinds: C(5 + 2, 2).
+    const auto a = computed_on(one, 21, search);
+    const auto b = computed_on(many, 21, search);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].name, b[i].name) << "rank " << i;

@@ -236,11 +236,10 @@ TEST_F(SweepFaultPolicy, OptimizerRanksPartialSweeps) {
     // valid points).
     exec::FaultInjector inj(point_faults(0.1, kSeed));
     exec::FaultInjector::Scope scope(inj);
-    FaultPolicySpec skip;
-    skip.policy = FaultPolicy::Skip;
+    sensor::OptimizerRuntime skip;
+    skip.fault.policy = FaultPolicy::Skip;
     const std::vector<double> ratios{1.5, 2.0, 2.5, 3.0};
-    const auto points =
-        sensor::ratio_sweep(tech, CellKind::Inv, 5, ratios, nullptr, skip);
+    const auto points = sensor::ratio_sweep(tech, CellKind::Inv, 5, ratios, skip);
     ASSERT_EQ(points.size(), ratios.size());
     for (const auto& p : points) {
         EXPECT_TRUE(std::isfinite(p.max_nl_percent)) << "ratio " << p.ratio;
@@ -252,11 +251,10 @@ TEST_F(SweepFaultPolicy, OptimizerRanksUnmeasurableCandidatesLast) {
     // +infinity — ranked, not thrown.
     exec::FaultInjector inj(point_faults(1.0));
     exec::FaultInjector::Scope scope(inj);
-    FaultPolicySpec skip;
-    skip.policy = FaultPolicy::Skip;
+    sensor::OptimizerRuntime skip;
+    skip.fault.policy = FaultPolicy::Skip;
     const std::vector<double> ratios{2.0, 3.0};
-    const auto points =
-        sensor::ratio_sweep(tech, CellKind::Inv, 5, ratios, nullptr, skip);
+    const auto points = sensor::ratio_sweep(tech, CellKind::Inv, 5, ratios, skip);
     ASSERT_EQ(points.size(), 2u);
     for (const auto& p : points) {
         EXPECT_TRUE(std::isinf(p.max_nl_percent));

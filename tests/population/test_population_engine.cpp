@@ -13,6 +13,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -119,7 +120,7 @@ TEST(PopulationEngine, EvaluateDieIsPureRandomAccess) {
     (void)eval.evaluate(250);
     const auto b = eval.evaluate(42);
     EXPECT_EQ(a, b);
-    EXPECT_EQ(a, evaluate_die(cfg, 42));
+    EXPECT_EQ(a, DieEvaluator(cfg).evaluate(42));
 }
 
 TEST(PopulationEngine, KillAtEveryShardBoundaryResumesBitwise) {
@@ -336,6 +337,70 @@ TEST(PopulationEngine, FingerprintIsStableAndSeedSensitive) {
     cfg.seed = 1;
     cfg.shard_size = 123;
     EXPECT_NE(population_fingerprint(cfg), a);
+}
+
+TEST(PopulationEngine, AnalyticFingerprintsKeepTheirValues) {
+    // Checkpoint keys outlive a build. The default study, and the
+    // population bench's quick study (BENCH_population.json's
+    // fingerprint).
+    EXPECT_EQ(population_fingerprint(PopulationConfig{}), 0x15f6396bec8382d2ULL);
+    PopulationConfig bench;
+    bench.dice = 10000;
+    bench.seed = 20260808;
+    bench.variation.vth_sigma = 0.015;
+    bench.variation.kp_rel_sigma = 0.04;
+    bench.variation.vdd_rel_sigma = 0.005;
+    bench.mismatch = {0.01, 0.004};
+    bench.aging.vth_drift_v = 0.0008;
+    bench.aging.drive_degradation_rel = 0.0015;
+    bench.aging.rate_sigma_ln = 0.2;
+    EXPECT_EQ(population_fingerprint(bench), 0x756cb5caca31c85aULL);
+}
+
+TEST(PopulationEngine, SpiceFingerprintSeesEveryOptionThatShapesThePeriod) {
+    // Each of these moves a SPICE period's bits, so a checkpoint written
+    // under one value must not resume into a run under another.
+    PopulationConfig base;
+    base.engine = ring::Engine::Spice;
+    const auto fp = population_fingerprint(base);
+    PopulationConfig cfg = base;
+    cfg.spice.kernel.reuse_lu = !base.spice.kernel.reuse_lu;
+    EXPECT_NE(population_fingerprint(cfg), fp) << "kernel.reuse_lu";
+    cfg = base;
+    cfg.spice.kernel.bypass_tol_v = base.spice.kernel.bypass_tol_v + 1e-4;
+    EXPECT_NE(population_fingerprint(cfg), fp) << "kernel.bypass_tol_v";
+    cfg = base;
+    cfg.spice.max_wall_ms = base.spice.max_wall_ms + 1000.0;
+    EXPECT_NE(population_fingerprint(cfg), fp) << "max_wall_ms";
+    cfg = base;
+    cfg.spice.max_total_newton_iters = base.spice.max_total_newton_iters + 100000;
+    EXPECT_NE(population_fingerprint(cfg), fp) << "max_total_newton_iters";
+}
+
+TEST(PopulationEngine, SpiceStudyRunsEndToEnd) {
+    PopulationConfig cfg;
+    cfg.ring = ring::RingConfig::uniform(cells::CellKind::Inv, 5);
+    cfg.test_temps_c = {0.0, 50.0, 100.0};
+    cfg.dice = 2;
+    cfg.shard_size = 2;
+    cfg.engine = ring::Engine::Spice;
+    cfg.spice = ring::SpiceRingOptions::fast();
+    const auto fallback0 = counter_value("population.spice_fallback");
+    const auto spice = run_population(cfg);
+    EXPECT_EQ(counter_value("population.spice_fallback"), fallback0);
+    EXPECT_EQ(spice.dice, 2u);
+    EXPECT_EQ(spice.shards, 1u);
+    for (const auto& m : spice.metrics) {
+        EXPECT_EQ(m.count, 2u) << m.name;
+        EXPECT_TRUE(std::isfinite(m.mean) && std::isfinite(m.min) &&
+                    std::isfinite(m.max))
+            << m.name;
+    }
+
+    cfg.engine = ring::Engine::Analytic;
+    const auto analytic = run_population(cfg);
+    const auto ref = static_cast<std::size_t>(Metric::PeriodAtRefNs);
+    EXPECT_NE(spice.metrics[ref].mean, analytic.metrics[ref].mean);
 }
 
 TEST(PopulationEngine, CalibrationPolicyStrings) {

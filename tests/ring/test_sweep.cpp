@@ -130,6 +130,29 @@ TEST(TemperatureSweep, CachedRunMatchesUncachedRun) {
     EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+TEST(TemperatureSweep, FingerprintKeepsItsValue) {
+    // Sweep cache and checkpoint keys outlive a build: a refactor of the
+    // hash must not move them. Values captured before (technology, ring)
+    // and the SPICE options got one shared hash.
+    const auto tech = phys::cmos350();
+    const auto cfg = RingConfig::uniform(CellKind::Inv, 13);
+    const auto grid = paper_temperature_grid_c();
+    EXPECT_EQ(sweep_fingerprint(tech, cfg, grid, Engine::Analytic),
+              0xefb7eb9d4cac98c9ULL);
+    EXPECT_EQ(sweep_fingerprint(tech, cfg, grid, Engine::Spice),
+              0x55fc9ae3064c9e38ULL);
+}
+
+TEST(Engine, NamesRoundTrip) {
+    for (const Engine e : {Engine::Analytic, Engine::Spice}) {
+        EXPECT_EQ(engine_from_string(to_string(e)), e);
+    }
+    EXPECT_STREQ(to_string(Engine::Analytic), "analytic");
+    EXPECT_STREQ(to_string(Engine::Spice), "spice");
+    EXPECT_THROW(engine_from_string("Spice"), std::invalid_argument);
+    EXPECT_THROW(engine_from_string(""), std::invalid_argument);
+}
+
 TEST(PaperSweep, UsesPaperGrid) {
     const auto tech = phys::cmos350();
     const auto cfg = RingConfig::uniform(CellKind::Inv, 5);

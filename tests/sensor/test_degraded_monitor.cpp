@@ -63,6 +63,12 @@ TEST(DegradedMonitor, RejectsHealthConfigsThatReadNoSite) {
     cfg.health.temp_max_c = 100.0;
     EXPECT_THROW(ThermalMonitor(phys::cmos350(), sensor_ring(), fp, sites, cfg),
                  std::invalid_argument);
+    // A finite margin whose watchdog deadline is past 2^63 ref cycles:
+    // its cast to an integer deadline is undefined.
+    cfg = resilient_config();
+    cfg.health.watchdog_margin = 1e300;
+    EXPECT_THROW(ThermalMonitor(phys::cmos350(), sensor_ring(), fp, sites, cfg),
+                 std::invalid_argument);
     // With supervision off the health config is never read.
     cfg.enable_health = false;
     EXPECT_NO_THROW(

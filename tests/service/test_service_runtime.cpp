@@ -766,6 +766,86 @@ TEST(ServiceRuntime, OutOfRangeWireIntegersSaturate) {
         << r.dump();
 }
 
+/// A request whose one param has the wrong JSON type.
+struct MistypedParam {
+    const char* name; ///< Test-name suffix: <method>_<param>.
+    const char* line;
+    const char* param;
+};
+
+void PrintTo(const MistypedParam& p, std::ostream* os) { *os << p.name; }
+
+class ServiceMistypedParam : public testing::TestWithParam<MistypedParam> {};
+
+TEST_P(ServiceMistypedParam, AnswersBadParamsNotTheDefault) {
+    ServerConfig cfg;
+    cfg.threads = 2;
+    Server server(cfg, {small_session("die")});
+    const auto parsed = Json::parse(server.handle_inline(GetParam().line));
+    ASSERT_TRUE(parsed.value.has_value());
+    const Json& r = *parsed.value;
+    EXPECT_EQ(error_code_of(r), "bad-params") << r.dump();
+    EXPECT_NE(r.at("error").at("message").as_string().find(
+                  std::string("'") + GetParam().param + "'"),
+              std::string::npos)
+        << r.dump();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WireParams, ServiceMistypedParam,
+    testing::Values(
+        MistypedParam{"sweep_engine",
+                      R"({"id":1,"method":"sweep","params":{"engine":5}})",
+                      "engine"},
+        MistypedParam{"measure_site_fresh",
+                      R"({"id":1,"method":"measure_site","params":{"site":0,"fresh":"yes"}})",
+                      "fresh"},
+        MistypedParam{"dtm_run_supervised",
+                      R"({"id":1,"method":"dtm_run","params":{"supervised":1}})",
+                      "supervised"},
+        MistypedParam{"population_run_calibration",
+                      R"({"id":1,"method":"population_run","params":{"calibration":2}})",
+                      "calibration"},
+        MistypedParam{"population_run_corner",
+                      R"({"id":1,"method":"population_run","params":{"corner":7}})",
+                      "corner"},
+        MistypedParam{"query_depth",
+                      R"({"id":1,"method":"query","params":{"path":"pool","depth":"all"}})",
+                      "depth"},
+        MistypedParam{"query_filter",
+                      R"({"id":1,"method":"query","params":{"path":"pool","filter":3}})",
+                      "filter"},
+        MistypedParam{"query_path",
+                      R"({"id":1,"method":"query","params":{"path":["pool"]}})",
+                      "path"},
+        MistypedParam{"hello_weight",
+                      R"({"id":1,"method":"hello","params":{"weight":"heavy"}})",
+                      "weight"},
+        MistypedParam{"shutdown_mode",
+                      R"({"id":1,"method":"shutdown","params":{"mode":false}})",
+                      "mode"}),
+    [](const testing::TestParamInfo<MistypedParam>& info) {
+        return std::string(info.param.name);
+    });
+
+TEST(ServiceRuntime, NullParamTakesItsDefault) {
+    ServerConfig cfg;
+    cfg.threads = 2;
+    Server server(cfg, {small_session("die")});
+    const auto inline_call = [&server](const std::string& line) {
+        auto parsed = Json::parse(server.handle_inline(line));
+        EXPECT_TRUE(parsed.value.has_value()) << line;
+        return parsed.value.value_or(Json());
+    };
+    Json r = inline_call(R"({"id":1,"method":"hello","params":{"weight":null}})");
+    ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
+    EXPECT_EQ(r.at("result").at("weight").as_int(), cfg.default_client_weight);
+    r = inline_call(
+        R"({"id":2,"method":"sweep","params":{"points":3,"engine":null}})");
+    ASSERT_TRUE(r.at("ok").as_bool()) << r.dump();
+    EXPECT_EQ(r.at("result").at("engine").as_string(), "analytic");
+}
+
 TEST(ServiceRuntime, HugeModelIndexIsOutOfRange) {
     ServerConfig cfg;
     cfg.threads = 2;
